@@ -3,8 +3,8 @@
 //! working set), driving a `SimSession` command by command performs **zero
 //! heap allocations per step** — in the WAF-abstracted mode, in the
 //! page-mapped FTL mode (including garbage collection, which runs on the
-//! FTL's reusable relocation buffer), and with a capacity-reserved probe
-//! attached.
+//! FTL's reusable relocation buffer), with a capacity-reserved probe
+//! attached, and on a session that owns its platform.
 //!
 //! This file is its own test binary so it can install a counting global
 //! allocator without affecting any other suite.
@@ -172,6 +172,37 @@ fn stepping_a_warm_session_never_allocates() {
         after - before,
         0,
         "probed step loop allocated {} times",
+        after - before
+    );
+}
+
+/// A session that owns its platform and shares its stream
+/// ([`Ssd::into_session`], the form the server hosts) steps exactly as
+/// allocation-free as a borrowed one, garbage collection included.
+#[test]
+fn stepping_an_owned_session_never_allocates() {
+    let mut ssd = Ssd::new(
+        config("owned-alloc")
+            .ftl_mode(FtlMode::PageMapped)
+            .over_provisioning(0.25)
+            .build()
+            .unwrap(),
+    );
+    let w = Workload::builder(AccessPattern::RandomWrite)
+        .command_count(1_200)
+        .footprint_bytes(2 << 20)
+        .build();
+    // Warm the lazily populated wear maps, which the platform keeps.
+    let _ = ssd.simulate(&w);
+    let mut session = ssd.into_session(&w);
+    let before = allocations();
+    while session.step().is_some() {}
+    let after = allocations();
+    assert_eq!(session.finish().commands, 1_200);
+    assert_eq!(
+        after - before,
+        0,
+        "owned-session step loop allocated {} times",
         after - before
     );
 }

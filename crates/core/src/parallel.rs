@@ -208,6 +208,7 @@ mod tests {
     use super::*;
     use crate::config::{ConfigError, SsdConfig};
     use crate::explorer::Axis;
+    use crate::session::SimSession;
     use crate::ssd::Ssd;
     use ssdx_hostif::{AccessPattern, Workload};
 
@@ -237,6 +238,8 @@ mod tests {
         fn assert_send<T: Send>() {}
         fn assert_sync<T: Sync>() {}
         assert_send::<Ssd>();
+        // Owned sessions move between threads (the server's worker pool).
+        assert_send::<SimSession<'static>>();
         assert_send::<SweepJob>();
         assert_sync::<SweepJob>();
         assert_sync::<Workload>();

@@ -45,7 +45,6 @@ use ssdx_nand::NandOp;
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::stats::LatencyHistogram;
 use ssdx_sim::SimTime;
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -93,7 +92,9 @@ pub struct SessionSnapshot {
 /// Observer of an in-flight [`SimSession`].
 ///
 /// All methods have empty defaults, so a probe implements only what it
-/// cares about. For every run the session guarantees the ordering:
+/// cares about. [`SimSession::attach`] takes `Probe + Send` probes, so a
+/// session that owns its platform stays `Send` with its probes attached.
+/// For every run the session guarantees the ordering:
 /// [`on_command`](Probe::on_command) fires once per command in stream
 /// order, [`on_snapshot`](Probe::on_snapshot) fires between commands at the
 /// configured cadence, and [`on_finish`](Probe::on_finish) fires exactly
@@ -189,6 +190,79 @@ impl Probe for CompletionLog {
     }
 }
 
+pub(crate) use storage::{Platform, Stream};
+
+/// Where a session keeps its platform and its command stream. A private
+/// module, so the `Deref` plumbing stays out of the public API surface.
+mod storage {
+    use crate::ssd::Ssd;
+    use ssdx_hostif::HostCommand;
+    use std::ops::{Deref, DerefMut};
+    use std::sync::Arc;
+
+    /// The platform a session drives: borrowed from the caller
+    /// ([`Ssd::session`]) or owned by the session ([`Ssd::into_session`],
+    /// [`SimSession::duplicate`](super::SimSession::duplicate)). The
+    /// pipeline reaches it through `Deref`, so both kinds run the same code.
+    pub(crate) enum Platform<'a> {
+        Borrowed(&'a mut Ssd),
+        Owned(Box<Ssd>),
+    }
+
+    impl Deref for Platform<'_> {
+        type Target = Ssd;
+
+        #[inline]
+        fn deref(&self) -> &Ssd {
+            match self {
+                Platform::Borrowed(ssd) => ssd,
+                Platform::Owned(ssd) => ssd,
+            }
+        }
+    }
+
+    impl DerefMut for Platform<'_> {
+        #[inline]
+        fn deref_mut(&mut self) -> &mut Ssd {
+            match self {
+                Platform::Borrowed(ssd) => ssd,
+                Platform::Owned(ssd) => ssd,
+            }
+        }
+    }
+
+    /// A session's command stream: borrowed from a source that owns it, or
+    /// materialised once and shared by every
+    /// [`duplicate`](super::SimSession::duplicate).
+    pub(crate) enum Stream<'a> {
+        Borrowed(&'a [HostCommand]),
+        Shared(Arc<Vec<HostCommand>>),
+    }
+
+    impl Stream<'_> {
+        /// A handle to the same commands that borrows nothing: shared
+        /// streams are reference-counted, borrowed ones are copied once.
+        pub(crate) fn share<'b>(&self) -> Stream<'b> {
+            match self {
+                Stream::Borrowed(commands) => Stream::Shared(Arc::new(commands.to_vec())),
+                Stream::Shared(commands) => Stream::Shared(Arc::clone(commands)),
+            }
+        }
+    }
+
+    impl Deref for Stream<'_> {
+        type Target = [HostCommand];
+
+        #[inline]
+        fn deref(&self) -> &[HostCommand] {
+            match self {
+                Stream::Borrowed(commands) => commands,
+                Stream::Shared(commands) => commands,
+            }
+        }
+    }
+}
+
 /// An in-flight simulation of one command stream on one [`Ssd`].
 ///
 /// Created by [`Ssd::session`]; drop-in equivalent to the one-shot
@@ -196,8 +270,17 @@ impl Probe for CompletionLog {
 /// — stepping produces byte-identical reports, which the integration suite
 /// asserts. The session holds the per-run pipeline state (protocol window,
 /// DRAM back-pressure ledger, WAF carry, latency histogram, optional
-/// page-mapped FTL), while the borrowed platform holds the component
-/// models.
+/// page-mapped FTL), while the platform holds the component models.
+///
+/// # Borrowed and owned sessions
+///
+/// [`Ssd::session`] borrows the platform and the source for `'a`.
+/// [`Ssd::into_session`] and [`duplicate`](Self::duplicate) return a
+/// session that owns its platform and shares a materialised command
+/// stream, so it borrows nothing and can outlive its creator — stored as a
+/// `SimSession<'static>` and sent to another thread, as `ssdx-server` does
+/// with the sessions it hosts. Both kinds run the same pipeline and
+/// produce the same records and reports.
 ///
 /// # Determinism
 ///
@@ -214,10 +297,10 @@ impl Probe for CompletionLog {
 /// is documented once, on [`Explorer`](crate::Explorer#determinism).
 #[must_use = "a session simulates nothing until stepped or finished"]
 pub struct SimSession<'a> {
-    ssd: &'a mut Ssd,
+    ssd: Platform<'a>,
     label: String,
     mix: WorkloadMix,
-    commands: Cow<'a, [HostCommand]>,
+    commands: Stream<'a>,
     cursor: usize,
     queue_depth: usize,
     buffer_capacity: u64,
@@ -233,17 +316,20 @@ pub struct SimSession<'a> {
     steady_state: SteadyStateCutoff,
     total_bytes: u64,
     last_completion: SimTime,
-    probes: Vec<&'a mut dyn Probe>,
+    probes: Vec<&'a mut (dyn Probe + Send)>,
     sample_every: Option<u64>,
 }
 
 impl<'a> SimSession<'a> {
-    pub(crate) fn new(
-        ssd: &'a mut Ssd,
-        label: String,
-        commands: Cow<'a, [HostCommand]>,
-        mix: WorkloadMix,
+    /// Opens a session over `commands`, the materialised stream of
+    /// `source`, which also supplies the label and the FTL workload mix.
+    pub(crate) fn new<S: CommandSource + ?Sized>(
+        mut ssd: Platform<'a>,
+        source: &S,
+        commands: Stream<'a>,
     ) -> Self {
+        let label = source.label();
+        let mix = WorkloadMix::mixed(source.random_write_fraction());
         ssd.reset_activity();
 
         let queue_depth = ssd.config().queue_depth() as usize;
@@ -331,7 +417,7 @@ impl<'a> SimSession<'a> {
     /// Registers a probe; its callbacks fire for every subsequent step. The
     /// probe outlives the session, so its collected data can be read back
     /// after [`finish`](Self::finish).
-    pub fn attach(&mut self, probe: &'a mut dyn Probe) {
+    pub fn attach(&mut self, probe: &'a mut (dyn Probe + Send)) {
         self.probes.push(probe);
     }
 
@@ -493,6 +579,42 @@ impl<'a> SimSession<'a> {
         let mut session = ssd.session(source);
         session.restore_from(snapshot)?;
         Ok(session)
+    }
+
+    /// Copies the session in memory: a new session that owns a clone of the
+    /// platform, carries every piece of in-flight state and shares this
+    /// session's command stream. Stepping either one never moves the other,
+    /// and each continues exactly as this session would have — the
+    /// in-memory counterpart of [`capture`](Self::capture) followed by
+    /// [`fork`](Self::fork), without the encode/decode round trip or a
+    /// second materialisation of the stream.
+    ///
+    /// Like `capture`, this copies simulation state only: attached probes
+    /// and the sampling cadence stay with this session.
+    pub fn duplicate<'b>(&self) -> SimSession<'b> {
+        SimSession {
+            ssd: Platform::Owned(Box::new(Ssd::clone(&self.ssd))),
+            label: self.label.clone(),
+            mix: self.mix,
+            commands: self.commands.share(),
+            cursor: self.cursor,
+            queue_depth: self.queue_depth,
+            buffer_capacity: self.buffer_capacity,
+            waf: self.waf,
+            compressor: self.compressor,
+            ftl: self.ftl.clone(),
+            window: self.window.clone(),
+            in_flight: self.in_flight.clone(),
+            in_flight_bytes: self.in_flight_bytes,
+            waf_carry: self.waf_carry,
+            latency: self.latency.clone(),
+            classes: self.classes,
+            steady_state: self.steady_state,
+            total_bytes: self.total_bytes,
+            last_completion: self.last_completion,
+            probes: Vec::new(),
+            sample_every: None,
+        }
     }
 
     fn restore_from(&mut self, snap: &Snapshot) -> Result<(), DecodeError> {

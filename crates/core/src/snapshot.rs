@@ -306,8 +306,9 @@ pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
     StateInventoryEntry {
         crate_name: "ssdx-server",
         carrier: None,
-        notes: "session state is held as Snapshot images between requests; the \
-                service itself adds no simulation state of its own",
+        notes: "hosts live SimSessions that own their platforms and encode \
+                only on CaptureSnapshot; the service itself adds no \
+                simulation state of its own",
     },
     StateInventoryEntry {
         crate_name: "ssdexplorer",

@@ -26,7 +26,7 @@ use crate::config::{ConfigError, SsdConfig};
 use crate::layout::{PageAllocator, PageTarget};
 use crate::metrics::ClassHistograms;
 use crate::report::{PerfReport, UtilizationBreakdown};
-use crate::session::SimSession;
+use crate::session::{Platform, SimSession, Stream};
 use ssdx_channel::{ChannelConfig, ChannelController};
 use ssdx_cpu::CpuModel;
 use ssdx_dram::{AccessKind, DramBuffer};
@@ -39,8 +39,10 @@ use ssdx_nand::{NandOp, OnfiBus};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::stats::LatencyHistogram;
 use ssdx_sim::{Resource, SimTime};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// The assembled SSD virtual platform.
 ///
@@ -48,7 +50,10 @@ use std::collections::BinaryHeap;
 /// [`HostInterface`] requires `Send + Sync`), so a
 /// [`ParallelExecutor`](crate::ParallelExecutor) worker can build and drive
 /// a whole `Ssd` per sweep point; the `parallel` module's tests pin this at
-/// compile time.
+/// compile time. It is also `Clone`: a clone is an independent platform in
+/// exactly the same state, which is how
+/// [`SimSession::duplicate`] copies a session without a snapshot round
+/// trip.
 ///
 /// # Example
 ///
@@ -64,9 +69,10 @@ use std::collections::BinaryHeap;
 /// assert!(report.throughput_mbps > 0.0);
 /// # Ok::<(), ssdx_core::ConfigError>(())
 /// ```
+#[derive(Clone)]
 pub struct Ssd {
     pub(crate) config: SsdConfig,
-    pub(crate) iface: Box<dyn HostInterface>,
+    pub(crate) iface: Arc<dyn HostInterface>,
     pub(crate) host_link: Resource,
     pub(crate) dram: Vec<DramBuffer>,
     pub(crate) cpus: Vec<CpuModel>,
@@ -96,7 +102,7 @@ impl Ssd {
     /// Returns the [`ConfigError`] produced by [`SsdConfig::validate`].
     pub fn try_new(config: SsdConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let iface = config.host_interface.build();
+        let iface = Arc::from(config.host_interface.build());
         let dram = (0..config.dram_buffers)
             .map(|i| DramBuffer::new(i, config.dram_timings))
             .collect();
@@ -305,14 +311,27 @@ impl Ssd {
     /// [`step`](SimSession::step) / [`run_until`](SimSession::run_until)
     /// and close it with [`finish`](SimSession::finish).
     pub fn session<'a, S: CommandSource + ?Sized>(&'a mut self, source: &'a S) -> SimSession<'a> {
-        let label = source.label();
         // Sources that own their stream (traces, explicit lists) are
         // borrowed. Generators materialise here — and a second time if
         // their `random_write_fraction` falls back to the default
         // estimator; generators that know their mix can pin it instead.
-        let mix = WorkloadMix::mixed(source.random_write_fraction());
-        let commands = source.commands();
-        SimSession::new(self, label, commands, mix)
+        let commands = match source.commands() {
+            Cow::Borrowed(commands) => Stream::Borrowed(commands),
+            Cow::Owned(commands) => Stream::Shared(Arc::new(commands)),
+        };
+        SimSession::new(Platform::Borrowed(self), source, commands)
+    }
+
+    /// Like [`session`](Self::session), but the session takes the platform
+    /// and a materialised copy of the stream with it, so it borrows
+    /// nothing: it can be stored as a `SimSession<'static>`, sent to
+    /// another thread, and copied with [`SimSession::duplicate`]. A
+    /// generator's freshly materialised stream is moved in, not copied;
+    /// a source that owns its stream (a trace, an explicit list) is copied
+    /// once.
+    pub fn into_session<'a, S: CommandSource + ?Sized>(self, source: &S) -> SimSession<'a> {
+        let commands = Stream::Shared(Arc::new(source.commands().into_owned()));
+        SimSession::new(Platform::Owned(Box::new(self)), source, commands)
     }
 
     /// Runs any [`CommandSource`] through the full pipeline in one shot and

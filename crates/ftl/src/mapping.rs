@@ -21,6 +21,10 @@
 //!   per-block `Vec<PageState>` into one contiguous allocation shared by all
 //!   blocks. Garbage collection walks a victim block as one cache-friendly
 //!   slice.
+//! * Both per-page maps hold `u32` entries — half the memory of `u64`, the
+//!   bulk of a page-mapped session's state. [`PageMappedFtl::new`] rejects
+//!   a geometry with more physical pages than fit below the `u32`
+//!   sentinels.
 //! * **Per-block metadata** (`write_ptr`, `valid`, `erase_count`) lives in
 //!   parallel `Vec`s indexed by block, and a **free-block bitset**
 //!   (`free_mask`) answers pool-membership queries in O(1) so the victim
@@ -92,12 +96,16 @@ impl FtlStats {
 
 /// `page_lpn` sentinel: the physical page has never been programmed since
 /// the last erase.
-const PAGE_FREE: u64 = u64::MAX;
+const PAGE_FREE: u32 = u32::MAX;
 /// `page_lpn` sentinel: the physical page held data that has since been
 /// overwritten or trimmed.
-const PAGE_INVALID: u64 = u64::MAX - 1;
+const PAGE_INVALID: u32 = u32::MAX - 1;
 /// `l2p` sentinel: the logical page is unmapped.
-const UNMAPPED: u64 = u64::MAX;
+const UNMAPPED: u32 = u32::MAX;
+/// Most physical pages one FTL can manage: every packed page number, and
+/// every logical page (there are fewer of those), must stay below the
+/// `u32` sentinels.
+const MAX_PHYSICAL_PAGES: u64 = PAGE_INVALID as u64;
 
 /// A dense bitset over block indices, used to answer "is this block in the
 /// free pool?" in O(1) during victim scans.
@@ -151,9 +159,9 @@ pub struct PageMappedFtl {
     pages_per_block: u32,
     blocks: u32,
     /// Packed physical page number per logical page, or [`UNMAPPED`].
-    l2p: Vec<u64>,
+    l2p: Vec<u32>,
     /// Logical page stored in each physical page, or a sentinel.
-    page_lpn: Vec<u64>,
+    page_lpn: Vec<u32>,
     /// Next free page index within each block (log-structured append point).
     write_ptr: Vec<u32>,
     /// Count of valid pages per block.
@@ -168,7 +176,7 @@ pub struct PageMappedFtl {
     /// O(1) membership mirror of `free_blocks`.
     free_mask: BlockBitset,
     /// Reusable scratch for the LPNs relocated out of a GC victim.
-    reloc_buf: Vec<u64>,
+    reloc_buf: Vec<u32>,
     logical_pages: u64,
     gc_threshold: usize,
     wear_level_threshold: u64,
@@ -187,8 +195,10 @@ impl PageMappedFtl {
     ///
     /// # Panics
     ///
-    /// Panics if `blocks < 8`, `pages_per_block == 0` or
-    /// `over_provisioning <= 0`.
+    /// Panics if `blocks < 8`, `pages_per_block == 0`,
+    /// `over_provisioning <= 0`, or `blocks * pages_per_block` exceeds
+    /// `u32::MAX - 1` (the page maps hold `u32` entries below two
+    /// sentinels). Every check runs before anything is allocated.
     pub fn new(blocks: u32, pages_per_block: u32, over_provisioning: f64) -> Self {
         assert!(blocks >= 8, "need at least 8 physical blocks");
         assert!(pages_per_block > 0, "pages per block must be non-zero");
@@ -197,6 +207,11 @@ impl PageMappedFtl {
             "over-provisioning must be positive for garbage collection to make progress"
         );
         let physical_pages = blocks as u64 * pages_per_block as u64;
+        assert!(
+            physical_pages <= MAX_PHYSICAL_PAGES,
+            "{physical_pages} physical pages do not fit the u32 page maps \
+             (at most {MAX_PHYSICAL_PAGES})"
+        );
         let logical_pages =
             ((physical_pages as f64 / (1.0 + over_provisioning)).floor() as u64).max(1);
         let free_blocks: Vec<u32> = (2..blocks).rev().collect();
@@ -323,17 +338,16 @@ impl PageMappedFtl {
         self.erase_count[block as usize]
     }
 
+    /// Packs a physical location into a page number; `new`'s geometry
+    /// check keeps it below the sentinels.
     #[inline]
-    fn pack(&self, blk: u32, page: u32) -> u64 {
-        blk as u64 * self.pages_per_block as u64 + page as u64
+    fn pack(&self, blk: u32, page: u32) -> u32 {
+        blk * self.pages_per_block + page
     }
 
     #[inline]
-    fn unpack(&self, ppn: u64) -> (u32, u32) {
-        (
-            (ppn / self.pages_per_block as u64) as u32,
-            (ppn % self.pages_per_block as u64) as u32,
-        )
+    fn unpack(&self, ppn: u32) -> (u32, u32) {
+        (ppn / self.pages_per_block, ppn % self.pages_per_block)
     }
 
     #[inline]
@@ -347,10 +361,10 @@ impl PageMappedFtl {
     }
 
     #[inline]
-    fn invalidate(&mut self, lpn: u64) {
+    fn invalidate(&mut self, lpn: u32) {
         let ppn = std::mem::replace(&mut self.l2p[lpn as usize], UNMAPPED);
         if ppn != UNMAPPED {
-            let blk = (ppn / self.pages_per_block as u64) as usize;
+            let blk = (ppn / self.pages_per_block) as usize;
             self.page_lpn[ppn as usize] = PAGE_INVALID;
             self.valid[blk] -= 1;
         }
@@ -379,7 +393,7 @@ impl PageMappedFtl {
 
     /// Appends `lpn` to the block `blk`, which must not be full.
     #[inline]
-    fn raw_append_to(&mut self, blk: u32, lpn: u64) -> (u32, u32) {
+    fn raw_append_to(&mut self, blk: u32, lpn: u32) -> (u32, u32) {
         debug_assert!(
             !self.is_full(blk),
             "raw_append_to requires a non-full block"
@@ -394,7 +408,7 @@ impl PageMappedFtl {
         (blk, page)
     }
 
-    fn append(&mut self, lpn: u64) -> Result<(u32, u32), FtlError> {
+    fn append(&mut self, lpn: u32) -> Result<(u32, u32), FtlError> {
         if self.is_full(self.open_block) {
             // Reclaim space first if the free pool is running low, then
             // switch to a fresh open block.
@@ -608,9 +622,7 @@ impl PageMappedFtl {
     /// that the snapshot codec already encodes, so recovery on a forked
     /// session is byte-identical to recovery on the continuous one.
     pub fn recover_from_power_loss(&mut self) -> u64 {
-        for slot in &mut self.l2p {
-            *slot = UNMAPPED;
-        }
+        self.l2p.fill(UNMAPPED);
         let mut live = 0u64;
         for blk in 0..self.blocks {
             let base = self.pack(blk, 0) as usize;
@@ -678,9 +690,7 @@ impl PageMappedFtl {
     /// Returns [`FtlError::LbaOutOfRange`] if `lpn` exceeds the exported
     /// capacity, or [`FtlError::OutOfSpace`] if no block can be reclaimed.
     pub fn write(&mut self, lpn: u64) -> Result<(u32, u32), FtlError> {
-        if lpn >= self.logical_pages {
-            return Err(FtlError::LbaOutOfRange);
-        }
+        let lpn = self.checked_lpn(lpn)?;
         self.invalidate(lpn);
         self.stats.host_writes += 1;
         self.append(lpn)
@@ -693,9 +703,7 @@ impl PageMappedFtl {
     /// Returns [`FtlError::LbaOutOfRange`] if `lpn` exceeds the exported
     /// capacity.
     pub fn read(&self, lpn: u64) -> Result<Option<(u32, u32)>, FtlError> {
-        if lpn >= self.logical_pages {
-            return Err(FtlError::LbaOutOfRange);
-        }
+        self.checked_lpn(lpn)?;
         Ok(self.lookup(lpn))
     }
 
@@ -706,12 +714,20 @@ impl PageMappedFtl {
     /// Returns [`FtlError::LbaOutOfRange`] if `lpn` exceeds the exported
     /// capacity.
     pub fn trim(&mut self, lpn: u64) -> Result<(), FtlError> {
-        if lpn >= self.logical_pages {
-            return Err(FtlError::LbaOutOfRange);
-        }
+        let lpn = self.checked_lpn(lpn)?;
         self.invalidate(lpn);
         self.stats.trims += 1;
         Ok(())
+    }
+
+    /// Narrows an exported logical page to its map index.
+    #[inline]
+    fn checked_lpn(&self, lpn: u64) -> Result<u32, FtlError> {
+        if lpn >= self.logical_pages {
+            return Err(FtlError::LbaOutOfRange);
+        }
+        // Exported pages are fewer than the physical pages `new` bounded.
+        Ok(lpn as u32)
     }
 
     /// Encodes the FTL's mutable state, in stable field order: the L2P table
@@ -726,13 +742,17 @@ impl PageMappedFtl {
     /// relocation scratch buffer is transient, not state.
     pub fn encode_state(&self, enc: &mut Encoder) {
         for &ppn in &self.l2p {
-            enc.put_u64(if ppn == UNMAPPED { 0 } else { ppn + 1 });
+            enc.put_u64(if ppn == UNMAPPED {
+                0
+            } else {
+                u64::from(ppn) + 1
+            });
         }
         for &lpn in &self.page_lpn {
             enc.put_u64(match lpn {
                 PAGE_FREE => 0,
                 PAGE_INVALID => 1,
-                live => live + 2,
+                live => u64::from(live) + 2,
             });
         }
         for &p in &self.write_ptr {
@@ -773,7 +793,7 @@ impl PageMappedFtl {
             let raw = dec.get_u64()?;
             *slot = match raw.checked_sub(1) {
                 None => UNMAPPED,
-                Some(ppn) if ppn < physical_pages => ppn,
+                Some(ppn) if ppn < physical_pages => ppn as u32,
                 Some(_) => return Err(dec.invalid("L2P entry out of range")),
             };
         }
@@ -782,7 +802,7 @@ impl PageMappedFtl {
             *slot = match raw {
                 0 => PAGE_FREE,
                 1 => PAGE_INVALID,
-                shifted if shifted - 2 < self.logical_pages => shifted - 2,
+                shifted if shifted - 2 < self.logical_pages => (shifted - 2) as u32,
                 _ => return Err(dec.invalid("physical-page LPN out of range")),
             };
         }
@@ -979,6 +999,14 @@ mod tests {
     #[should_panic(expected = "over-provisioning must be positive")]
     fn zero_op_rejected() {
         let _ = PageMappedFtl::new(8, 8, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit the u32 page maps")]
+    fn a_geometry_past_the_u32_sentinels_is_rejected() {
+        // 2^32 physical pages: one past what the u32 maps can address. The
+        // check fires before the maps (16 GiB at this size) are allocated.
+        let _ = PageMappedFtl::new(1 << 16, 1 << 16, 0.25);
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! End-of-stream is only legal between frames: EOF on the first length
 //! byte yields `Ok(None)` (clean close), EOF anywhere later is an error
 //! (mid-frame disconnect).
+//!
+//! A frame goes out in a single `write`: a length prefix sent on its own
+//! is a small segment that Nagle's algorithm holds back until the peer's
+//! delayed ACK (tens of milliseconds) on a socket without `TCP_NODELAY`.
 
 use std::io::{self, Read, Write};
 
@@ -20,28 +24,22 @@ use std::io::{self, Read, Write};
 /// hostile length prefix cannot balloon server memory.
 pub const MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
 
-/// Writes one frame (varint length + payload) to `w`.
+/// Writes one frame (varint length + payload) to `w` in one `write_all`
+/// of a contiguous buffer.
 ///
 /// # Errors
 ///
 /// Propagates any I/O error from the underlying writer.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut prefix = [0u8; 10];
+    let mut frame = Vec::with_capacity(payload.len() + 10);
     let mut len = payload.len() as u64;
-    let mut n = 0;
-    loop {
-        let byte = (len & 0x7f) as u8;
+    while len >= 0x80 {
+        frame.push((len & 0x7f) as u8 | 0x80);
         len >>= 7;
-        if len == 0 {
-            prefix[n] = byte;
-            n += 1;
-            break;
-        }
-        prefix[n] = byte | 0x80;
-        n += 1;
     }
-    w.write_all(&prefix[..n])?;
-    w.write_all(payload)
+    frame.push(len as u8);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)
 }
 
 /// Reads one frame payload from `r`, enforcing `max_len`.
@@ -114,6 +112,40 @@ mod tests {
                 payload
             );
             assert!(read_frame(&mut cur, MAX_FRAME_BYTES).unwrap().is_none());
+        }
+    }
+
+    /// A writer that accepts everything and counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_written_in_exactly_one_write_call() {
+        for len in [0usize, 1, 127, 128, 70_000] {
+            let payload = vec![7u8; len];
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "a {len}-byte frame took {} writes", w.writes);
+            let mut cur = Cursor::new(w.bytes);
+            assert_eq!(
+                read_frame(&mut cur, MAX_FRAME_BYTES).unwrap().unwrap(),
+                payload
+            );
         }
     }
 

@@ -47,10 +47,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Determinism: a session is driven by the same `SimSession` machinery
-//! as an in-process run, stored between requests as a snapshot image and
-//! re-forked per operation (PR 8's fork-equals-continuous equivalence).
-//! The same config text + workload spec therefore produce a
+//! Determinism: a session is a live [`ssdx_core::SimSession`] that owns
+//! its platform and stays in memory between requests; `Step`/`RunUntil`
+//! advance it in place, and `Fork` and report fetches work on in-memory
+//! copies. The same config text + workload spec therefore produce a
 //! [`ssdx_core::PerfReport`] byte-identical to `Ssd::simulate`, no
 //! matter how the run is sliced into `Step`/`RunUntil`/`Fork` requests.
 

@@ -36,7 +36,10 @@ pub struct ServerConfig {
     pub bind: String,
     /// Worker threads executing session operations.
     pub workers: usize,
-    /// Maximum concurrently live sessions.
+    /// Maximum concurrently live sessions. Each hosted session keeps its
+    /// whole simulation state in memory (platform, FTL maps, command
+    /// stream) — about 1 MiB for a page-mapped 16k-command session on the
+    /// Table II C1 platform — so this cap also bounds the server's memory.
     pub max_sessions: usize,
     /// Per-connection telemetry queue capacity (messages) before the
     /// drop-oldest policy sheds load.
@@ -242,6 +245,9 @@ fn drain(shared: &Shared) {
 }
 
 fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
+    // Replies are small and latency-bound: never let Nagle's algorithm
+    // hold one back waiting for the client's delayed ACK.
+    stream.set_nodelay(true)?;
     let outbound = Arc::new(Outbound::new(shared.cfg.telemetry_queue));
     let finished = Arc::new(AtomicBool::new(false));
     let writer = {

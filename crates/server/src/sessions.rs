@@ -1,20 +1,24 @@
 //! The session table: server-side lifecycle and isolation of simulated
 //! devices.
 //!
-//! Every session is one [`SessionEntry`]: an owned [`Ssd`] platform, its
-//! rebuilt [`CommandSource`] and the latest captured [`Snapshot`] image.
-//! Operations never hold a live `SimSession` across requests — each
-//! request *forks* a session from the stored image, runs, and re-captures
-//! (PR 8's fork-equals-continuous equivalence makes this byte-identical
-//! to having kept the session open). That idiom buys the two service
-//! invariants for free:
+//! Every session is one [`SessionEntry`]: a live [`SimSession`] that owns
+//! its platform and its materialised command stream
+//! ([`Ssd::into_session`]), plus an optional telemetry subscriber. A
+//! request costs only the simulation work it asks for: `Step`/`RunUntil`
+//! advance the session in place, `CaptureSnapshot` encodes it, and `Fork`
+//! copies it in memory ([`SimSession::duplicate`]). The two service
+//! invariants hold as follows:
 //!
-//! * **observation is pure** — `FetchReport`/`FetchTails` fork, run to
-//!   completion and *discard*, so the stored image is untouched and the
-//!   same query repeats byte-identically;
-//! * **failure is contained** — every simulation runs under
-//!   `catch_unwind`; a panicking session is discarded and reported as
+//! * **observation is pure** — `FetchReport`/`FetchTails` run a
+//!   duplicate to completion and *discard* it, so the hosted session is
+//!   untouched and the same query repeats byte-identically;
+//! * **failure is contained** — every operation runs under
+//!   `catch_unwind`; a session that panics is discarded and reported as
 //!   [`ErrorCode::SessionFailed`], and the server keeps serving.
+//!
+//! The price is memory: an idle session holds its whole simulation state
+//! (platform, FTL maps, stream), not a compact snapshot image — see
+//! `--max-sessions` in docs/OPERATIONS.md.
 //!
 //! Concurrency: the table lock is held only to check a session out or
 //! in. While an operation runs, the slot is marked busy and other
@@ -23,8 +27,7 @@
 
 use crate::outbound::Outbound;
 use crate::proto::{ErrorCode, Telemetry, WorkloadSpec};
-use ssdx_core::{PerfReport, SimSession, Snapshot, Ssd, SsdConfig, TailSummary};
-use ssdx_hostif::CommandSource;
+use ssdx_core::{PerfReport, SimSession, Ssd, SsdConfig, TailSummary};
 use ssdx_sim::SimTime;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,11 +82,7 @@ struct Subscriber {
 
 /// One hosted session.
 struct SessionEntry {
-    config: SsdConfig,
-    spec: WorkloadSpec,
-    ssd: Ssd,
-    source: Box<dyn CommandSource + Send + Sync>,
-    image: Snapshot,
+    session: SimSession<'static>,
     subscriber: Option<Subscriber>,
 }
 
@@ -153,20 +152,14 @@ impl SessionHost {
         let source = spec
             .build()
             .map_err(|e| Failure::new(ErrorCode::BadWorkload, e))?;
-        let entry = guard_simulation(AssertUnwindSafe(|| {
-            let mut ssd = Ssd::try_new(config.clone())
-                .map_err(|e| Failure::new(ErrorCode::BadConfig, e.to_string()))?;
-            let image = ssd.session(source.as_ref()).capture();
-            Ok((ssd, image))
-        }))?;
-        let (ssd, image) = entry?;
-        let remaining = source.commands().len() as u64;
+        let session = guard_simulation(|| {
+            Ssd::try_new(config)
+                .map(|ssd| ssd.into_session(source.as_ref()))
+                .map_err(|e| Failure::new(ErrorCode::BadConfig, e.to_string()))
+        })??;
+        let remaining = session.remaining();
         let id = self.insert(Box::new(SessionEntry {
-            config,
-            spec: spec.clone(),
-            ssd,
-            source,
-            image,
+            session,
             subscriber: None,
         }))?;
         Ok((id, remaining))
@@ -175,14 +168,10 @@ impl SessionHost {
     /// Advances a session, emitting telemetry to its subscriber.
     pub(crate) fn advance(&self, id: u32, mode: AdvanceMode) -> Result<Advance, Failure> {
         self.with_entry(id, |entry| {
-            let sample_every = entry.subscriber.as_ref().map_or(0, |s| s.sample_every);
-            let subscribed = entry.subscriber.is_some();
-            let mut records = Vec::new();
-            let mut samples = Vec::new();
-            let mut session = SimSession::fork(&mut entry.ssd, entry.source.as_ref(), &entry.image)
-                .map_err(|e| {
-                    Failure::new(ErrorCode::SessionFailed, format!("stored image: {e}"))
-                })?;
+            let SessionEntry {
+                session,
+                subscriber,
+            } = entry;
             let mut executed = 0u64;
             loop {
                 match mode {
@@ -199,23 +188,7 @@ impl SessionHost {
                 }
                 let Some(record) = session.step() else { break };
                 executed += 1;
-                if subscribed {
-                    if sample_every > 0 && session.completed() % sample_every == 0 {
-                        samples.push(session.snapshot());
-                    }
-                    records.push(record);
-                }
-            }
-            let advance = Advance {
-                executed,
-                now: session.now(),
-                completed: session.completed(),
-                remaining: session.remaining(),
-            };
-            entry.image = session.capture();
-            drop(session);
-            if let Some(sub) = &entry.subscriber {
-                for record in records {
+                if let Some(sub) = subscriber {
                     sub.outbound.send_telemetry(
                         id,
                         Telemetry::Completion {
@@ -224,19 +197,24 @@ impl SessionHost {
                         }
                         .encode(),
                     );
-                }
-                for snapshot in samples {
-                    sub.outbound.send_telemetry(
-                        id,
-                        Telemetry::Utilization {
-                            session: id,
-                            snapshot,
-                        }
-                        .encode(),
-                    );
+                    if sub.sample_every > 0 && session.completed() % sub.sample_every == 0 {
+                        sub.outbound.send_telemetry(
+                            id,
+                            Telemetry::Utilization {
+                                session: id,
+                                snapshot: session.snapshot(),
+                            }
+                            .encode(),
+                        );
+                    }
                 }
             }
-            Ok(advance)
+            Ok(Advance {
+                executed,
+                now: session.now(),
+                completed: session.completed(),
+                remaining: session.remaining(),
+            })
         })
     }
 
@@ -266,43 +244,27 @@ impl SessionHost {
 
     /// Returns the session's current snapshot image bytes.
     pub(crate) fn capture(&self, id: u32) -> Result<Vec<u8>, Failure> {
-        self.with_entry(id, |entry| Ok(entry.image.to_bytes().to_vec()))
+        self.with_entry(id, |entry| Ok(entry.session.capture().into_bytes()))
     }
 
-    /// Forks a session: the new session starts from the parent's current
-    /// image; the parent is untouched. Returns the new id.
+    /// Forks a session: the new session is an in-memory copy of the
+    /// parent's current state; the parent is untouched. Returns the new id.
     pub(crate) fn fork(&self, id: u32) -> Result<u32, Failure> {
         let child = self.with_entry(id, |entry| {
-            let source = entry
-                .spec
-                .build()
-                .map_err(|e| Failure::new(ErrorCode::BadWorkload, e))?;
-            let ssd = Ssd::try_new(entry.config.clone())
-                .map_err(|e| Failure::new(ErrorCode::BadConfig, e.to_string()))?;
             Ok(Box::new(SessionEntry {
-                config: entry.config.clone(),
-                spec: entry.spec.clone(),
-                ssd,
-                source,
-                image: entry.image.clone(),
+                session: entry.session.duplicate(),
                 subscriber: None,
             }))
         })?;
         self.insert(child)
     }
 
-    /// Runs the session to completion *on a fork* and returns the full
-    /// report. The stored session does not move: fetching twice, or
+    /// Runs the session to completion *on a duplicate* and returns the
+    /// full report. The hosted session does not move: fetching twice, or
     /// stepping further and fetching again, behaves exactly like the
     /// equivalent in-process run.
     pub(crate) fn report(&self, id: u32) -> Result<PerfReport, Failure> {
-        self.with_entry(id, |entry| {
-            let session = SimSession::fork(&mut entry.ssd, entry.source.as_ref(), &entry.image)
-                .map_err(|e| {
-                    Failure::new(ErrorCode::SessionFailed, format!("stored image: {e}"))
-                })?;
-            Ok(session.finish())
-        })
+        self.with_entry(id, |entry| Ok(entry.session.duplicate().finish()))
     }
 
     /// Per-class tail summaries of the completed run (see
@@ -364,7 +326,7 @@ impl SessionHost {
         f: impl FnOnce(&mut SessionEntry) -> Result<R, Failure>,
     ) -> Result<R, Failure> {
         let mut entry = self.checkout(id)?;
-        match guard_simulation(AssertUnwindSafe(|| f(&mut entry))) {
+        match guard_simulation(|| f(&mut entry)) {
             Ok(result) => {
                 self.checkin(id, entry);
                 result
@@ -401,9 +363,8 @@ fn guard_simulation<R>(f: impl FnOnce() -> R) -> Result<R, Failure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssdx_core::{CommandRecord, Probe};
     use ssdx_hostif::AccessPattern;
-    use ssdx_hostif::HostCommand;
-    use std::borrow::Cow;
 
     fn small_config_text() -> String {
         SsdConfig::builder("host-test")
@@ -519,16 +480,17 @@ mod tests {
         assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
     }
 
-    /// A source whose commands() panics after construction — the hostile
-    /// case `WorkloadSpec` validation cannot reach.
-    #[derive(Debug)]
-    struct PanickingSource;
-    impl CommandSource for PanickingSource {
-        fn label(&self) -> String {
-            "panic".to_owned()
-        }
-        fn commands(&self) -> Cow<'_, [HostCommand]> {
-            panic!("injected source failure")
+    /// A probe that panics when the given command completes: a live
+    /// session failing mid-`advance`, the hostile case `WorkloadSpec`
+    /// validation cannot reach.
+    struct PanickingProbe {
+        at_index: u64,
+    }
+    impl Probe for PanickingProbe {
+        fn on_command(&mut self, record: &CommandRecord) {
+            if record.index == self.at_index {
+                panic!("injected session failure");
+            }
         }
     }
 
@@ -536,19 +498,24 @@ mod tests {
     fn a_panicking_session_is_discarded_not_fatal() {
         let host = SessionHost::new(8);
         let (id, _) = host.create(&small_config_text(), &small_spec()).unwrap();
-        // Swap in a panicking source via the entry mutation path.
+        host.advance(id, AdvanceMode::Steps(4)).unwrap();
+        // Hosted sessions live for 'static, so the probe is leaked.
         let mut entry = host.checkout(id).unwrap();
-        entry.source = Box::new(PanickingSource);
+        entry
+            .session
+            .attach(Box::leak(Box::new(PanickingProbe { at_index: 6 })));
         host.checkin(id, entry);
-        let err = host.advance(id, AdvanceMode::Steps(1)).unwrap_err();
+        let err = host.advance(id, AdvanceMode::Steps(8)).unwrap_err();
         assert_eq!(err.code, ErrorCode::SessionFailed);
-        assert!(err.message.contains("injected source failure"));
+        assert!(err.message.contains("injected session failure"));
         // The broken session is gone; the host still serves new ones.
         assert_eq!(
             host.advance(id, AdvanceMode::Steps(1)).unwrap_err().code,
             ErrorCode::UnknownSession
         );
+        assert_eq!(host.len(), 0);
         let (id2, _) = host.create(&small_config_text(), &small_spec()).unwrap();
-        host.advance(id2, AdvanceMode::Steps(1)).unwrap();
+        let adv = host.advance(id2, AdvanceMode::Steps(8)).unwrap();
+        assert_eq!((adv.executed, adv.completed), (8, 8));
     }
 }

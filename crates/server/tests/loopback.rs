@@ -1,9 +1,11 @@
 //! End-to-end tests over a real loopback socket: an ephemeral-port
 //! server, the client library, and the acceptance criteria — remote
-//! reports byte-identical to in-process runs, fork equivalence,
-//! telemetry streaming, and the ≥200-concurrent-session load target
-//! with zero control-message loss.
+//! reports and snapshot images byte-identical to in-process runs however
+//! requests interleave, fork independence, telemetry streaming, request
+//! round trips free of Nagle stalls, and the ≥200-concurrent-session load
+//! target with zero control-message loss.
 
+use proptest::prelude::*;
 use ssdx_hostif::AccessPattern;
 use ssdx_server::{
     Client, ClientError, ErrorCode, LoadgenConfig, Server, ServerConfig, Telemetry, WorkloadSpec,
@@ -46,6 +48,19 @@ fn in_process_report() -> ssdx_core::PerfReport {
     let source = test_spec().build().expect("valid test spec");
     let mut ssd = ssdx_core::Ssd::try_new(config).expect("valid test device");
     ssd.simulate(source.as_ref())
+}
+
+/// The in-process snapshot image of the same run after `completed`
+/// commands, for byte-identity comparisons against `CaptureSnapshot`.
+fn in_process_image(completed: u64) -> Vec<u8> {
+    let config = ssdx_core::SsdConfig::from_text(&test_config_text()).expect("round-trip config");
+    let source = test_spec().build().expect("valid test spec");
+    let mut ssd = ssdx_core::Ssd::try_new(config).expect("valid test device");
+    let mut session = ssd.session(source.as_ref());
+    for _ in 0..completed {
+        session.step();
+    }
+    session.capture().into_bytes()
 }
 
 #[test]
@@ -108,6 +123,121 @@ fn a_fork_reports_identically_to_its_parent() {
         format!("{parent_report:?}"),
         format!("{child_report:?}"),
         "a fork must finish exactly like its parent"
+    );
+    client.shutdown_server().expect("shutdown");
+    server.wait().expect("clean exit");
+}
+
+#[test]
+fn stepping_one_side_of_a_fork_never_moves_the_other() {
+    let server = ephemeral_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let reference = format!("{:?}", in_process_report());
+    let parent = client
+        .create_session(&test_config_text(), &test_spec())
+        .expect("create");
+    client.step(parent, 40).expect("advance the parent first");
+    let child = client.fork(parent).expect("fork");
+
+    // The parent moves on; the child stays at the fork point.
+    let child_before = client.fetch_report(child).expect("child report");
+    assert_eq!(client.step(parent, 100).expect("step").completed, 140);
+    let child_after = client.fetch_report(child).expect("child report");
+    assert_eq!(format!("{child_before:?}"), reference);
+    assert_eq!(format!("{child_after:?}"), reference);
+    assert_eq!(client.step(child, 0).expect("probe").completed, 40);
+
+    // The reverse: the child runs to the end; the parent stays put.
+    let parent_before = client.fetch_report(parent).expect("parent report");
+    let p = client.step(child, 1_000).expect("step the child out");
+    assert_eq!((p.completed, p.remaining), (256, 0));
+    let parent_after = client.fetch_report(parent).expect("parent report");
+    assert_eq!(format!("{parent_before:?}"), reference);
+    assert_eq!(format!("{parent_after:?}"), reference);
+    assert_eq!(client.step(parent, 0).expect("probe").completed, 140);
+
+    client.shutdown_server().expect("shutdown");
+    server.wait().expect("clean exit");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Any interleaving of `Step`, `CaptureSnapshot`, `FetchReport` and
+    /// `Fork` over live sessions keeps every reply byte-identical to the
+    /// in-process run: each image equals an in-process capture at the same
+    /// cursor, and every report equals `Ssd::simulate`.
+    #[test]
+    fn interleaved_requests_stay_byte_identical_to_in_process(
+        // (verb, step size, whether to drive the fork afterwards)
+        ops in prop::collection::vec((0u8..4, 1u64..48, any::<bool>()), 4..20),
+    ) {
+        let server = ephemeral_server();
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let reference = format!("{:?}", in_process_report());
+        let first = client
+            .create_session(&test_config_text(), &test_spec())
+            .expect("create");
+        // Every live session with its expected cursor; `current` is driven.
+        let mut sessions = vec![(first, 0u64)];
+        let mut current = 0;
+        for (verb, n, follow) in ops {
+            let (id, completed) = sessions[current];
+            match verb {
+                0 => {
+                    let p = client.step(id, n).expect("step");
+                    let expected = (completed + n).min(256);
+                    prop_assert_eq!(p.completed, expected);
+                    sessions[current].1 = expected;
+                }
+                1 => {
+                    let image = client.capture_snapshot(id).expect("capture");
+                    prop_assert!(image == in_process_image(completed), "image at {}", completed);
+                }
+                2 => {
+                    let report = client.fetch_report(id).expect("report");
+                    prop_assert_eq!(format!("{report:?}"), reference.clone());
+                }
+                _ => {
+                    let child = client.fork(id).expect("fork");
+                    sessions.push((child, completed));
+                    if follow {
+                        current = sessions.len() - 1;
+                    }
+                }
+            }
+        }
+        for (id, _) in sessions {
+            let report = client.fetch_report(id).expect("final report");
+            prop_assert_eq!(format!("{report:?}"), reference.clone());
+            client.close_session(id).expect("close");
+        }
+        client.shutdown_server().expect("shutdown");
+        server.wait().expect("clean exit");
+    }
+}
+
+/// A Nagle stall costs every reply the client's delayed ACK (≥40 ms), so
+/// 100 sequential one-command steps would take four seconds or more. A
+/// one-second ceiling is generous for the sub-millisecond round trips the
+/// service delivers.
+#[test]
+fn sequential_round_trips_do_not_stall() {
+    let server = ephemeral_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let session = client
+        .create_session(&test_config_text(), &test_spec())
+        .expect("create");
+    // ssdx-lint::allow(no-wall-clock): the round-trip time IS the assertion;
+    // nothing simulated reads it.
+    let started = std::time::Instant::now();
+    for _ in 0..100 {
+        client.step(session, 1).expect("step");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "100 Step(1) round trips took {elapsed:?}: a Nagle stall is back"
     );
     client.shutdown_server().expect("shutdown");
     server.wait().expect("clean exit");

@@ -12,9 +12,10 @@
 //!   completion records across repeated runs.
 //! * **Fork ≡ continuous under faults** (property): splitting a faulty
 //!   session at an arbitrary command via
-//!   [`SimSession::capture`]/[`SimSession::fork`] reproduces the
-//!   continuous run exactly — including split points before, at and after
-//!   the power-loss trigger, whose command-index key is snapshot state.
+//!   [`SimSession::capture`]/[`SimSession::fork`], or copying it in memory
+//!   with [`SimSession::duplicate`], reproduces the continuous run exactly
+//!   — including split points before, at and after the power-loss
+//!   trigger, whose command-index key is session state.
 //! * **Trigger pinning**: the power-loss recovery replay fires exactly once
 //!   even when the session is captured and forked at the trigger itself.
 
@@ -103,6 +104,31 @@ fn split_run(
     (format!("{report:?}"), records)
 }
 
+/// Runs `split` commands on an aged platform owned by its session, copies
+/// the session in memory with [`SimSession::duplicate`], runs the original
+/// to the end (which must not move the copy), then finishes the copy.
+fn duplicate_run(
+    cfg: &SsdConfig,
+    w: &Workload,
+    endurance: f64,
+    cutoff: SteadyStateCutoff,
+    split: u64,
+) -> (String, Vec<CommandRecord>) {
+    let mut ssd = Ssd::try_new(cfg.clone()).unwrap();
+    ssd.age_to_normalized(endurance);
+    let mut session = ssd.into_session(w);
+    session.steady_state(cutoff);
+    let mut records: Vec<CommandRecord> = (0..split).map_while(|_| session.step()).collect();
+    let mut copy = session.duplicate();
+    let _ = session.finish();
+
+    let mut tail = CompletionLog::new();
+    copy.attach(&mut tail);
+    let report = copy.finish();
+    records.extend_from_slice(tail.records());
+    (format!("{report:?}"), records)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -156,12 +182,20 @@ proptest! {
             "fork diverged at split {} with power loss at {}", split, power_loss_at
         );
         prop_assert_eq!(fork_records.as_slice(), first_log.records());
+
+        let (dup_report, dup_records) = duplicate_run(&cfg, &w, endurance, cutoff, split);
+        prop_assert_eq!(
+            &dup_report, &first_report,
+            "duplicate diverged at split {} with power loss at {}", split, power_loss_at
+        );
+        prop_assert_eq!(dup_records.as_slice(), first_log.records());
     }
 }
 
 /// The power-loss trigger keys on the snapshot-encoded command cursor, so
-/// capturing and forking immediately before, at, or after the trigger
-/// replays the outage exactly once — never twice, never zero times.
+/// capturing and forking — or duplicating — immediately before, at, or
+/// after the trigger replays the outage exactly once — never twice, never
+/// zero times.
 #[test]
 fn forking_around_the_power_loss_trigger_is_equivalent() {
     let faults = FaultConfig {
@@ -177,6 +211,12 @@ fn forking_around_the_power_loss_trigger_is_equivalent() {
         assert_eq!(
             report, cold_report,
             "power-loss replay diverged when forked at command {split}"
+        );
+        assert_eq!(records.as_slice(), cold_log.records());
+        let (report, records) = duplicate_run(&cfg, &w, 0.0, cutoff, split);
+        assert_eq!(
+            report, cold_report,
+            "power-loss replay diverged when duplicated at command {split}"
         );
         assert_eq!(records.as_slice(), cold_log.records());
     }

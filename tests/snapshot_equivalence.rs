@@ -7,8 +7,9 @@
 //!
 //! * **Fork ≡ continuous** (property): across arbitrary topologies, FTL
 //!   modes, workloads and split points, splitting a session at command *k*
-//!   via [`SimSession::capture`]/[`SimSession::fork`] reproduces the
-//!   continuous run's `PerfReport` `Debug` rendering and its complete
+//!   via [`SimSession::capture`]/[`SimSession::fork`] — or copying an
+//!   owned session in memory with [`SimSession::duplicate`] — reproduces
+//!   the continuous run's `PerfReport` `Debug` rendering and its complete
 //!   [`CompletionLog`] record stream exactly.
 //! * **Codec robustness** (property): an image round-trips
 //!   state-identically (capture → fork → capture yields the same bytes),
@@ -28,8 +29,8 @@
 
 use proptest::prelude::*;
 use ssdx_core::{
-    Axis, CompletionLog, Explorer, FtlMode, ParallelExecutor, SimSession, Snapshot, Ssd, SsdConfig,
-    SteadyStateCutoff, SNAPSHOT_VERSION, STATE_INVENTORY,
+    Axis, CommandRecord, CompletionLog, Explorer, FtlMode, ParallelExecutor, SimSession, Snapshot,
+    Ssd, SsdConfig, SteadyStateCutoff, SNAPSHOT_VERSION, STATE_INVENTORY,
 };
 use ssdx_hostif::{AccessPattern, Workload};
 use ssdx_sim::codec::DecodeError;
@@ -73,7 +74,7 @@ fn split_run(
     w: &Workload,
     cutoff: SteadyStateCutoff,
     split: u64,
-) -> (String, Vec<ssdx_core::CommandRecord>, Snapshot) {
+) -> (String, Vec<CommandRecord>, Snapshot) {
     let mut head = CompletionLog::new();
     let mut ssd = Ssd::try_new(cfg.clone()).unwrap();
     let image = {
@@ -98,6 +99,29 @@ fn split_run(
     let mut records = head.records().to_vec();
     records.extend_from_slice(tail.records());
     (format!("{report:?}"), records, image)
+}
+
+/// Runs `split` commands on a session that owns its platform, copies it in
+/// memory with [`SimSession::duplicate`], runs the original to the end (which
+/// must not move the copy), then finishes the copy. Returns the copy's report
+/// rendering and the concatenated completion records of both halves.
+fn duplicate_run(
+    cfg: &SsdConfig,
+    w: &Workload,
+    cutoff: SteadyStateCutoff,
+    split: u64,
+) -> (String, Vec<CommandRecord>) {
+    let mut session = Ssd::try_new(cfg.clone()).unwrap().into_session(w);
+    session.steady_state(cutoff);
+    let mut records: Vec<CommandRecord> = (0..split).map_while(|_| session.step()).collect();
+    let mut copy = session.duplicate();
+    let _ = session.finish();
+
+    let mut tail = CompletionLog::new();
+    copy.attach(&mut tail);
+    let report = copy.finish();
+    records.extend_from_slice(tail.records());
+    (format!("{report:?}"), records)
 }
 
 proptest! {
@@ -130,9 +154,12 @@ proptest! {
 
         let (cold_report, cold_log) = continuous(&cfg, &w, cutoff);
         let (fork_report, fork_records, _) = split_run(&cfg, &w, cutoff, split);
+        let (dup_report, dup_records) = duplicate_run(&cfg, &w, cutoff, split);
 
         prop_assert_eq!(&fork_report, &cold_report, "PerfReport diverged at split {}", split);
         prop_assert_eq!(fork_records.as_slice(), cold_log.records(), "completion records diverged");
+        prop_assert_eq!(&dup_report, &cold_report, "duplicate diverged at split {}", split);
+        prop_assert_eq!(dup_records.as_slice(), cold_log.records(), "duplicate records diverged");
     }
 
     /// Capture → fork → capture is a fixed point: the re-captured image is
