@@ -143,6 +143,18 @@ impl Bank {
         Ok(())
     }
 
+    /// Accounts `count` row hits to the already-open row in one step, the
+    /// last of which leaves the bank busy until `until` — the closed-form
+    /// equivalent of `count` hit-then-occupy pairs whose bursts each start
+    /// after the bank's previous one ended.
+    #[inline]
+    pub(crate) fn hit_run(&mut self, count: u64, until: SimTime) {
+        debug_assert!(matches!(self.state, BankState::ActiveRow(_)));
+        debug_assert!(until >= self.ready_at);
+        self.hits += count;
+        self.ready_at = until;
+    }
+
     /// Marks the bank busy until `until` (column access + data burst).
     pub fn occupy_until(&mut self, until: SimTime) {
         if until > self.ready_at {

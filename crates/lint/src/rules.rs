@@ -205,8 +205,8 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: "no-panic-in-hot-path",
-        contract: "hot paths never panic: the scheduler, mapping, session step loop, and \
-                   command paths degrade through Result, not process death",
+        contract: "hot paths never panic: the scheduler, mapping, session step loop, DRAM \
+                   buffer, and command paths degrade through Result, not process death",
         help: "return a Result (the *_try twin pattern), use let-else/match on the Option, \
                or justify the invariant with an audited \
                `ssdx-lint::allow(no-panic-in-hot-path): <why>`",
@@ -222,6 +222,8 @@ pub const RULES: &[RuleSpec] = &[
 /// deliberately file-precise — widening it is a reviewed table change.
 pub const HOT_PATHS: &[&str] = &[
     "crates/sim/src/scheduler.rs",
+    "crates/dram/src/buffer.rs",
+    "crates/dram/src/bank.rs",
     "crates/ftl/src/mapping.rs",
     "crates/core/src/session.rs",
     "crates/channel/src/controller.rs",

@@ -127,6 +127,15 @@ impl std::fmt::Display for ErrorCode {
 // Workload specs
 // ---------------------------------------------------------------------------
 
+/// Most commands one session's workload may hold: 2^24, which is 512 MiB
+/// of 32-byte `HostCommand`s once the stream is materialised.
+///
+/// [`WorkloadSpec::build`] rejects larger workloads (an `Rmw` update counts
+/// as its two commands) with [`ErrorCode::BadWorkload`] before anything is
+/// allocated: a failed allocation aborts the whole server, and
+/// `catch_unwind` cannot catch it.
+pub const MAX_SESSION_COMMANDS: u64 = 1 << 24;
+
 /// A self-contained, wire-encodable description of a command source.
 ///
 /// `CreateSession` carries one of these instead of an opaque command list:
@@ -214,13 +223,27 @@ impl WorkloadSpec {
     ///
     /// Validation mirrors the generator constructors' own `assert!`
     /// invariants so that a hostile or buggy client yields a protocol
-    /// error ([`ErrorCode::BadWorkload`]) instead of a server-side panic.
+    /// error ([`ErrorCode::BadWorkload`]) instead of a server-side panic,
+    /// and caps the stream at [`MAX_SESSION_COMMANDS`]. The source is
+    /// returned unmaterialised.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated
     /// invariant.
     pub fn build(&self) -> Result<Box<dyn CommandSource + Send + Sync>, String> {
+        let commands = match *self {
+            WorkloadSpec::Basic { command_count, .. }
+            | WorkloadSpec::Zipfian { command_count, .. }
+            | WorkloadSpec::Bursty { command_count, .. }
+            | WorkloadSpec::MixedSize { command_count, .. } => command_count,
+            WorkloadSpec::Rmw { updates, .. } => updates.saturating_mul(2),
+        };
+        if commands > MAX_SESSION_COMMANDS {
+            return Err(format!(
+                "{commands} commands exceed the per-session cap of {MAX_SESSION_COMMANDS}"
+            ));
+        }
         fn check_block(block_size: u32, footprint_bytes: u64) -> Result<(), String> {
             if block_size == 0 {
                 return Err("block size must be non-zero".into());

@@ -424,6 +424,65 @@ mod tests {
     }
 
     #[test]
+    fn the_command_cap_is_checked_before_the_stream_exists() {
+        use crate::proto::MAX_SESSION_COMMANDS;
+        // Every variant, sized by `commands`; `Rmw` rounds up to pairs.
+        let specs = |commands: u64| {
+            vec![
+                WorkloadSpec::Basic {
+                    pattern: AccessPattern::SequentialWrite,
+                    block_size: 4096,
+                    command_count: commands,
+                    footprint_bytes: 1 << 20,
+                    seed: 1,
+                },
+                WorkloadSpec::Zipfian {
+                    theta: 0.9,
+                    seed: 1,
+                    command_count: commands,
+                    block_size: 4096,
+                    footprint_bytes: 1 << 20,
+                    read_fraction: 0.3,
+                },
+                WorkloadSpec::Bursty {
+                    seed: 1,
+                    command_count: commands,
+                    block_size: 4096,
+                    footprint_bytes: 1 << 20,
+                    read_fraction: 0.3,
+                    burst_len: 8,
+                    inter_arrival: SimTime::from_us(1),
+                    idle_gap: SimTime::from_us(100),
+                },
+                WorkloadSpec::MixedSize {
+                    sizes: vec![(4096, 1)],
+                    seed: 1,
+                    command_count: commands,
+                    footprint_bytes: 1 << 20,
+                    read_fraction: 0.3,
+                },
+                WorkloadSpec::Rmw {
+                    seed: 1,
+                    updates: commands.div_ceil(2),
+                    block_size: 4096,
+                    footprint_bytes: 1 << 20,
+                },
+            ]
+        };
+        // `build` hands the generator back unmaterialised, so accepting
+        // the cap costs nothing here.
+        for spec in specs(MAX_SESSION_COMMANDS) {
+            assert!(spec.build().is_ok(), "{spec:?} is at the cap");
+        }
+        // One past the cap; for `Rmw` that is 2^23 + 1 updates, so an
+        // update counts as its two commands.
+        for spec in specs(MAX_SESSION_COMMANDS + 1) {
+            let err = spec.build().err().expect("one past the cap");
+            assert!(err.contains("cap"), "{err}");
+        }
+    }
+
+    #[test]
     fn fault_config_rides_in_the_config_text() {
         // Fault injection needs no wire change: the degraded-device keys
         // travel inside the CreateSession config text, and two sessions

@@ -4,7 +4,7 @@
 
 use ssdx_server::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
 use ssdx_server::proto::{Request, Response, ServerMessage};
-use ssdx_server::{Client, ErrorCode, Server, ServerConfig, PROTOCOL_VERSION};
+use ssdx_server::{Client, ClientError, ErrorCode, Server, ServerConfig, PROTOCOL_VERSION};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -195,6 +195,39 @@ fn a_request_before_hello_is_refused() {
     match read_response(&mut peer).expect("a refusal reply") {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::MalformedRequest),
         other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert_still_serving(&server);
+    shutdown(server);
+}
+
+#[test]
+fn an_oversized_session_is_refused_not_fatal() {
+    let server = ephemeral_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // 10^11 commands would be a 3.2 TB stream, and `u64::MAX` updates of
+    // two commands each do not even fit a count: materialising either used
+    // to abort the whole server on the failed allocation. Both are refused
+    // on the same connection.
+    let oversized = [
+        ssdx_server::WorkloadSpec::Basic {
+            pattern: ssdx_hostif::AccessPattern::SequentialWrite,
+            block_size: 4096,
+            command_count: 100_000_000_000,
+            footprint_bytes: 1 << 20,
+            seed: 1,
+        },
+        ssdx_server::WorkloadSpec::Rmw {
+            seed: 1,
+            updates: u64::MAX,
+            block_size: 4096,
+            footprint_bytes: 1 << 20,
+        },
+    ];
+    for spec in &oversized {
+        match client.create_session("", spec) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::BadWorkload),
+            other => panic!("expected a bad-workload refusal, got {other:?}"),
+        }
     }
     assert_still_serving(&server);
     shutdown(server);
