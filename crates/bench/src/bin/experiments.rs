@@ -1,9 +1,11 @@
 //! Regenerates every table and figure of the SSDExplorer paper's evaluation.
 //!
-//! Run with `cargo run --release -p ssdx-bench --bin experiments -- [all|fig2|fig3|fig4|fig5|fig6|speed|speedup|tails|faults|tables]`.
-//! Results are printed as aligned text tables; every section renders into
-//! one shared `fmt::Write` buffer that is printed (and reused) per section,
-//! so table formatting never allocates a `String` per cell.
+//! Run with `cargo run --release -p ssdx-bench --bin experiments -- [all|fig2|fig3|fig4|fig5|fig6|speed|speedup|tails|faults|tables|policies]`.
+//! With no argument it runs `all`; any other unknown argument lists the
+//! subcommands on stderr and exits with status 2. Results are printed as
+//! aligned text tables; every section renders into one shared `fmt::Write`
+//! buffer that is printed (and reused) per section, so table formatting
+//! never allocates a `String` per cell.
 //!
 //! The `tails` subcommand runs the tail-latency study: the generative
 //! workload suite (zipfian-skewed, bursty on/off, mixed block sizes,
@@ -40,6 +42,9 @@ use ssdx_core::{
 use ssdx_ecc::EccScheme;
 use ssdx_hostif::{AccessPattern, Workload};
 use std::fmt::Write as _;
+
+/// Every subcommand `main` accepts, as printed in the usage line.
+const SUBCOMMANDS: &str = "all|fig2|fig3|fig4|fig5|fig6|speed|speedup|tails|faults|tables|policies";
 
 /// Paper-reported throughput of the OCZ Vertex 120 GB (values read from
 /// Fig. 2 of the paper; the figure is plotted, not tabulated, so these are
@@ -510,7 +515,7 @@ fn main() {
             print_table3(&mut out);
         }
         "policies" => cache_policy_note(&mut out),
-        _ => {
+        "all" => {
             // Full run: flush the shared buffer after each section so the
             // output streams while the later (long) experiments still run.
             let sections: [fn(&mut String); 10] = [
@@ -530,6 +535,11 @@ fn main() {
                 print!("{out}");
                 out.clear();
             }
+        }
+        unknown => {
+            eprintln!("experiments: unknown subcommand `{unknown}`");
+            eprintln!("usage: experiments [{SUBCOMMANDS}] [options]");
+            std::process::exit(2);
         }
     }
     print!("{out}");

@@ -1,11 +1,10 @@
 //! Channel controller configuration.
 
-use serde::{Deserialize, Serialize};
 use ssdx_nand::OnfiBus;
 
 /// How the ways attached to one channel share the channel resources
 /// (Agrawal et al., USENIX ATC 2008).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum GangMode {
     /// All ways share both the control and the data lines of the channel:
     /// cheapest wiring, but data transfers of different ways serialise.
@@ -18,7 +17,7 @@ pub enum GangMode {
 }
 
 /// Static configuration of one channel controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelConfig {
     /// Number of ways (chip-enable groups) on the channel.
     pub ways: u32,

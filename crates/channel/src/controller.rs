@@ -1,7 +1,6 @@
 //! The channel controller proper.
 
 use crate::config::{ChannelConfig, GangMode};
-use serde::{Deserialize, Serialize};
 use ssdx_nand::{NandConfig, NandDie, NandOp, PageAddr};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::{Resource, SimTime};
@@ -45,7 +44,7 @@ pub struct ChannelOutcome {
 }
 
 /// Aggregate channel statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Page programs issued.
     pub programs: u64,

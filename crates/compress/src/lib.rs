@@ -21,11 +21,10 @@
 
 #![warn(rust_2018_idioms)]
 
-use serde::{Deserialize, Serialize};
 use ssdx_sim::SimTime;
 
 /// Where the compressor sits in the data path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompressorPlacement {
     /// Between the host interface and the DRAM buffer ("Host interface
     /// compressor"): the DRAM already stores compressed data.
@@ -36,7 +35,7 @@ pub enum CompressorPlacement {
 }
 
 /// A parametric compressor/decompressor engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressorModel {
     /// Placement in the data path.
     pub placement: CompressorPlacement,

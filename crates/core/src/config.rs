@@ -8,7 +8,6 @@
 //! provides that object ([`SsdConfig`]), a builder, validation, and the text
 //! round-trip.
 
-use serde::{Deserialize, Serialize};
 use ssdx_channel::GangMode;
 use ssdx_compress::{CompressorModel, CompressorPlacement};
 use ssdx_cpu::FirmwareProfile;
@@ -20,7 +19,7 @@ use ssdx_nand::{MlcTimingProfile, NandConfig, NandGeometry, OnfiSpeed, WearModel
 use std::fmt;
 
 /// DRAM-buffer management policy (the paper's "caching" vs "no caching").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CachePolicy {
     /// The controller notifies command completion as soon as the data has
     /// been moved from the host interface into the DRAM buffers.
@@ -41,7 +40,7 @@ impl CachePolicy {
 }
 
 /// Host interface selection, serialisable form of the hostif crate models.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum HostInterfaceConfig {
     /// SATA II, 3 Gb/s, NCQ depth 32.
     #[default]
@@ -94,7 +93,7 @@ impl HostInterfaceConfig {
 /// The paper supports both: the WAF abstraction for fast fine-grained design
 /// space exploration (the validated instance), and an actual FTL executed by
 /// the platform for later refinement steps.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum FtlMode {
     /// The greedy-policy Write Amplification Factor abstraction: host writes
     /// are inflated analytically, no mapping tables are maintained.
@@ -108,7 +107,7 @@ pub enum FtlMode {
 }
 
 /// Compressor placement selection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CompressorConfig {
     /// No compressor instantiated.
     #[default]
@@ -142,7 +141,7 @@ impl CompressorConfig {
 /// snapshot state, so enabling them changes neither the snapshot byte layout
 /// nor the platform signature, and forked runs inherit them through the
 /// configuration they were built with.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Expected extra raw bit errors a page read accumulates per prior read
     /// of its block (read-disturb). `0.0` disables the mechanism.
@@ -221,7 +220,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Complete configuration of one simulated SSD platform instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdConfig {
     /// Human-readable name ("C1", "ocz-vertex-like", …).
     pub name: String,

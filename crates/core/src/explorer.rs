@@ -49,7 +49,6 @@ use crate::report::PerfReport;
 use crate::session::SimSession;
 use crate::snapshot::Snapshot;
 use crate::ssd::Ssd;
-use serde::{Deserialize, Serialize};
 use ssdx_ecc::EccScheme;
 use ssdx_hostif::{AccessPattern, CommandSource, Workload};
 use ssdx_sim::codec::DecodeError;
@@ -247,7 +246,7 @@ impl fmt::Debug for Axis {
 }
 
 /// One `(axis, value)` coordinate of a swept point.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AxisValue {
     /// Axis name.
     pub axis: String,
@@ -353,7 +352,7 @@ impl fmt::Debug for SweepJob {
 /// Note for 0.1 users: this is a new type. The three-column point of the
 /// legacy host-interface sweep now lives on as [`HostSweepPoint`].
 #[must_use = "a sweep point carries the measured report"]
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// `(axis, value)` coordinates, in axis order.
     pub coordinates: Vec<AxisValue>,
@@ -387,7 +386,7 @@ impl SweepPoint {
 /// The full result of one [`Explorer::run`]: every evaluated point with its
 /// report, in cartesian-product order (last axis fastest).
 #[must_use = "a sweep carries the measured reports"]
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sweep {
     /// The swept axis names, in application order.
     pub axes: Vec<String>,
@@ -800,7 +799,7 @@ pub fn endurance_axis(points: &[f64]) -> Axis {
 /// [`Explorer`] output (coordinates + full [`PerfReport`]). Code that
 /// serialised the old three-column shape should migrate to this type.
 #[must_use = "a host-sweep point carries the measured columns"]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostSweepPoint {
     /// Configuration name (e.g. "C6").
     pub config_name: String,
@@ -832,7 +831,7 @@ impl HostSweepPoint {
 
 /// The full result of sweeping one host interface across a set of
 /// configurations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostSweep {
     /// Host interface name.
     pub interface: String,
@@ -932,8 +931,8 @@ impl HostSweep {
 /// The full-pipeline product (the expensive part — two complete simulations
 /// per configuration) is fanned out across all cores with
 /// [`Explorer::run_parallel`]; by the determinism contract the result is
-/// byte-identical to a sequential run, so the legacy-shim fidelity tests
-/// keep passing unchanged.
+/// byte-identical to a sequential run, which `tests/parallel_sweep.rs` pins
+/// for arbitrary sweeps.
 ///
 /// # Errors
 ///
@@ -1012,23 +1011,8 @@ pub fn host_interface_study(
     })
 }
 
-/// Sweeps `configs` under `host`, running the given workload for the
-/// DDR+FLASH, cached and no-cache variants of every configuration.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `host_interface_study`, the Explorer-based re-expression"
-)]
-pub fn sweep_host_interface(
-    host: HostInterfaceConfig,
-    configs: &[SsdConfig],
-    workload: &Workload,
-) -> HostSweep {
-    host_interface_study(host, configs, workload)
-        .expect("legacy sweep configurations are structurally valid")
-}
-
 /// One sample of the wear-out experiment (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearoutPoint {
     /// Normalised rated endurance (0.0 fresh – 1.0 end of life).
     pub normalized_endurance: f64,
@@ -1078,22 +1062,6 @@ pub fn wearout_study(
             write_mbps: write.report.throughput_mbps,
         })
         .collect())
-}
-
-/// Sweeps NAND wear for the given ECC scheme, measuring sequential read and
-/// write throughput at each endurance point.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `wearout_study`, the Explorer-based re-expression"
-)]
-pub fn wearout_sweep(
-    config: &SsdConfig,
-    ecc: EccScheme,
-    endurance_points: &[f64],
-    commands_per_point: u64,
-) -> Vec<WearoutPoint> {
-    wearout_study(config, ecc, endurance_points, commands_per_point)
-        .expect("legacy wear-out configuration is structurally valid")
 }
 
 #[cfg(test)]
@@ -1262,24 +1230,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_results_are_serialization_ready() {
-        // The vendored serde is a marker stand-in; this pins the derive so
-        // swapping in the real serde keeps `Sweep` dumpable by experiments.
-        fn assert_serialize<T: serde::Serialize>() {}
-        assert_serialize::<Sweep>();
-        assert_serialize::<SweepPoint>();
-        assert_serialize::<AxisValue>();
-        assert_serialize::<HostSweep>();
-
-        let sweep = Explorer::new(small_table().remove(0))
-            .over_values("seed", [1u64, 2], |cfg, &s| cfg.seed = s)
-            .run(&quick_workload())
-            .unwrap();
-        assert_eq!(sweep.len(), 2);
-        assert_eq!(sweep.points[0].value("seed"), Some("1"));
-    }
-
-    #[test]
     fn empty_sweep_accessors_degrade_gracefully() {
         let sweep = Sweep {
             axes: Vec::new(),
@@ -1439,16 +1389,6 @@ C1     1-DDR-buf;1-CHN;1-WAY;1-DIE              10.0 MB/s       10.0 MB/s       
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_sweep_shim_matches_the_explorer_study() {
-        let workload = quick_workload();
-        let legacy = sweep_host_interface(HostInterfaceConfig::Sata2, &small_table(), &workload);
-        let study =
-            host_interface_study(HostInterfaceConfig::Sata2, &small_table(), &workload).unwrap();
-        assert_eq!(legacy, study);
-    }
-
-    #[test]
     fn optimal_design_point_prefers_cheapest_controller_among_saturating() {
         let sweep = HostSweep {
             interface: "test".to_string(),
@@ -1580,15 +1520,5 @@ C1     1-DDR-buf;1-CHN;1-WAY;1-DIE              10.0 MB/s       10.0 MB/s       
         let write_gap =
             (adaptive[0].write_mbps - fixed[0].write_mbps).abs() / fixed[0].write_mbps.max(1e-9);
         assert!(write_gap < 0.15, "write gap = {write_gap}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_wearout_shim_matches_the_explorer_study() {
-        let cfg = configs::fig5_config(EccScheme::fixed_bch(40));
-        let points = [0.0, 0.5];
-        let legacy = wearout_sweep(&cfg, EccScheme::adaptive_bch(40), &points, 64);
-        let study = wearout_study(&cfg, EccScheme::adaptive_bch(40), &points, 64).unwrap();
-        assert_eq!(legacy, study);
     }
 }

@@ -46,7 +46,6 @@
 use crate::config::{FaultConfig, FtlMode, SsdConfig};
 use crate::explorer::{endurance_axis, Axis, Explorer, Sweep, SweepError, SweepPoint};
 use crate::metrics::{push_json_escaped, SteadyStateCutoff, TailSummary};
-use serde::Serialize;
 use ssdx_hostif::{generative, CommandSource, ZipfianWorkload};
 use std::fmt::Write as _;
 
@@ -115,7 +114,7 @@ pub fn power_loss_axis(points: &[u64]) -> Axis {
 /// dimension; each point's coordinates name the sub-sweep it came from
 /// (e.g. `retire_limit=2`).
 #[must_use = "a fault study carries the measured percentiles"]
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultStudy {
     /// The underlying sweep: the concatenated per-fault-source sub-sweeps.
     pub sweep: Sweep,
@@ -167,9 +166,9 @@ impl FaultStudy {
         out
     }
 
-    /// Machine-readable JSON emission (hand rolled — the vendored serde is
-    /// a marker), mirroring `experiments -- faults --json`. Scenario and
-    /// workload labels are JSON-escaped.
+    /// Machine-readable JSON emission (hand rolled — the workspace has no
+    /// serialization framework), mirroring `experiments -- faults --json`.
+    /// Scenario and workload labels are JSON-escaped.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.sweep.points.len() * 512);
         out.push_str("{\n  \"schema\": \"ssdx-fault-tails/v1\",\n  \"scenarios\": [\n");

@@ -70,8 +70,6 @@ pub use explorer::{
     endurance_axis, host_interface_study, wearout_study, Axis, AxisValue, Explorer, HostSweep,
     HostSweepPoint, Sweep, SweepError, SweepJob, SweepPoint, WearoutPoint,
 };
-#[allow(deprecated)]
-pub use explorer::{sweep_host_interface, wearout_sweep};
 pub use faults::{
     fault_campaign, fault_campaign_warm, power_loss_axis, read_disturb_axis, retention_axis,
     retirement_axis, FaultStudy,

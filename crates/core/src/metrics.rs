@@ -27,7 +27,6 @@
 
 use crate::config::SsdConfig;
 use crate::explorer::{Explorer, Sweep, SweepError};
-use serde::Serialize;
 use ssdx_hostif::{BurstyWorkload, HostOp, MixedSizeWorkload, RmwWorkload, ZipfianWorkload};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::SimTime;
@@ -91,7 +90,7 @@ const BUCKETS: usize = OCTAVES * SUBS;
 /// assert_eq!(h.count(), 1001);
 /// assert_eq!(h.max(), SimTime::from_us(5000));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; BUCKETS],
     count: u64,
@@ -328,7 +327,7 @@ impl std::fmt::Debug for LatencyHistogram {
 /// assert_eq!(CommandClass::Read.label(), "read");
 /// assert_eq!(CommandClass::ALL.len(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandClass {
     /// Host reads.
     Read,
@@ -393,7 +392,7 @@ impl From<HostOp> for CommandClass {
 /// assert_eq!(classes.class(CommandClass::Read).count(), 1);
 /// assert_eq!(classes.total().count(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassHistograms {
     classes: [LatencyHistogram; 3],
 }
@@ -494,7 +493,7 @@ impl Default for ClassHistograms {
 /// let by_time = SteadyStateCutoff::SimulatedTime(SimTime::from_ms(1));
 /// assert!(by_time.admits(0, SimTime::from_ms(2)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SteadyStateCutoff {
     /// No trimming: every completion is recorded (the default).
     #[default]
@@ -537,7 +536,7 @@ impl SteadyStateCutoff {
 /// assert!(tail.p50 <= tail.p95 && tail.p95 <= tail.p99 && tail.p99 <= tail.p999);
 /// assert!(tail.p999 <= tail.max);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailSummary {
     /// The command class summarised.
     pub class: CommandClass,
@@ -591,7 +590,7 @@ impl TailSummary {
 /// # Ok::<(), ssdx_core::SweepError>(())
 /// ```
 #[must_use = "a tail study carries the measured percentiles"]
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TailStudy {
     /// The underlying sweep, one point per workload.
     pub sweep: Sweep,
@@ -634,9 +633,9 @@ impl TailStudy {
         out
     }
 
-    /// Machine-readable JSON emission (hand rolled — the vendored serde is
-    /// a marker), mirroring `experiments -- tails --json`. Workload labels
-    /// are caller-chosen strings and are JSON-escaped.
+    /// Machine-readable JSON emission (hand rolled — the workspace has no
+    /// serialization framework), mirroring `experiments -- tails --json`.
+    /// Workload labels are caller-chosen strings and are JSON-escaped.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.sweep.points.len() * 512);
         out.push_str("{\n  \"schema\": \"ssdx-tail-latency/v1\",\n  \"workloads\": [\n");

@@ -2,13 +2,12 @@
 //! built from, extended with per-command-class tail-latency histograms.
 
 use crate::metrics::{ClassHistograms, CommandClass, TailSummary};
-use serde::{Deserialize, Serialize};
 use ssdx_sim::stats::LatencyHistogram;
 use ssdx_sim::SimTime;
 use std::fmt;
 
 /// Per-component utilization summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UtilizationBreakdown {
     /// Host-interface link utilization (0–1).
     pub host_link: f64,
@@ -25,11 +24,8 @@ pub struct UtilizationBreakdown {
 }
 
 /// The result of simulating one workload on one SSD configuration.
-///
-/// Derives `Serialize`/`Deserialize` (via the vendored serde stand-in) so
-/// experiment harnesses can dump reports alongside their inputs.
 #[must_use = "a performance report carries the measured results"]
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct PerfReport {
     /// Configuration name (e.g. "C6").
     pub config_name: String,
@@ -286,14 +282,5 @@ mod tests {
         let line = report().summary_line();
         assert!(!line.contains('\n'));
         assert!(line.contains("C1"));
-    }
-
-    #[test]
-    fn reports_are_serialization_ready() {
-        // Pins the serde derives so experiments can dump reports once the
-        // real serde replaces the vendored marker stand-in.
-        fn assert_serialize<T: serde::Serialize>() {}
-        assert_serialize::<PerfReport>();
-        assert_serialize::<UtilizationBreakdown>();
     }
 }

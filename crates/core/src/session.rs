@@ -36,7 +36,6 @@ use crate::metrics::{ClassHistograms, SteadyStateCutoff};
 use crate::report::{PerfReport, UtilizationBreakdown};
 use crate::snapshot::{self, Snapshot};
 use crate::ssd::Ssd;
-use serde::Serialize;
 use ssdx_compress::{CompressorModel, CompressorPlacement};
 use ssdx_dram::AccessKind;
 use ssdx_ftl::{PageMappedFtl, WorkloadMix};
@@ -50,7 +49,7 @@ use std::collections::BinaryHeap;
 
 /// One completed host command, as delivered to [`Probe::on_command`] and
 /// returned by [`SimSession::step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandRecord {
     /// Zero-based position of the command in the source stream.
     pub index: u64,
@@ -71,7 +70,7 @@ impl CommandRecord {
 
 /// A mid-run sample of the session, as produced by
 /// [`SimSession::snapshot`] and delivered to [`Probe::on_snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionSnapshot {
     /// Simulated instant of the sample (latest host-visible completion).
     pub at: SimTime,

@@ -227,8 +227,9 @@ pub struct StateInventoryEntry {
 pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
     StateInventoryEntry {
         crate_name: "ssdx-sim",
-        carrier: Some("Resource / MultiResource / Scheduler / SimRng / LatencyHistogram"),
-        notes: "busy windows, utilization ledgers, event arena, RNG streams",
+        carrier: Some("Resource / RoundRobinArbiter / SimRng / LatencyHistogram"),
+        notes: "busy windows, utilization ledgers, arbiter pointers, RNG streams, \
+                latency buckets",
     },
     StateInventoryEntry {
         crate_name: "ssdx-nand",

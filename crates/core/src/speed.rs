@@ -20,14 +20,13 @@ use crate::configs::table3_configs;
 use crate::explorer::{Axis, Explorer, SweepError};
 use crate::parallel::ParallelExecutor;
 use crate::ssd::Ssd;
-use serde::{Deserialize, Serialize};
 use ssdx_hostif::{AccessPattern, CommandSource, Workload};
 use ssdx_sim::Frequency;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Result of one simulation-speed measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedPoint {
     /// Configuration name.
     pub config_name: String,
@@ -77,7 +76,7 @@ pub fn measure_kcps_sweep(configs: &[SsdConfig], workload: &Workload) -> Vec<Spe
 }
 
 /// Result of one sequential-vs-parallel sweep timing run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpeedup {
     /// Number of sweep points evaluated by each run.
     pub points: usize,
@@ -185,7 +184,7 @@ where
 
 /// Timing of the parallel leg of a [`SpeedBaseline`]: the same fig6-style
 /// sweep fanned out over a [`ParallelExecutor`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelSpeed {
     /// Worker threads used.
     pub threads: usize,
@@ -203,7 +202,7 @@ pub struct ParallelSpeed {
 /// commands per wall-clock second, sequentially and through the parallel
 /// executor. Serialised to `BENCH_speed.json` by `experiments -- speed
 /// --json` and gated by the CI perf-smoke job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedBaseline {
     /// Format version of the JSON emission.
     pub schema: u32,
@@ -229,11 +228,10 @@ pub struct SpeedBaseline {
 impl SpeedBaseline {
     /// Serialises the baseline as pretty-printed JSON.
     ///
-    /// Hand-rolled on purpose: the workspace's vendored `serde` is a marker
-    /// stand-in (no registry is reachable from this environment), so the
-    /// emission drives a `fmt::Write` buffer directly. The format is pinned
-    /// by a unit test; [`parse_geomean`](Self::parse_geomean) reads the one
-    /// field the CI gate needs back out.
+    /// Hand-rolled on purpose: the workspace depends on no serialization
+    /// framework, so the emission drives a `fmt::Write` buffer directly. The
+    /// format is pinned by a unit test; [`parse_geomean`](Self::parse_geomean)
+    /// reads the one field the CI gate needs back out.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024 + self.points.len() * 256);
         let _ = writeln!(out, "{{");

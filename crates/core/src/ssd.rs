@@ -31,9 +31,7 @@ use ssdx_channel::{ChannelConfig, ChannelController};
 use ssdx_cpu::CpuModel;
 use ssdx_dram::{AccessKind, DramBuffer};
 use ssdx_ftl::WorkloadMix;
-use ssdx_hostif::{
-    CommandSource, CommandStream, HostCommand, HostInterface, HostOp, TracePlayer, Workload,
-};
+use ssdx_hostif::{CommandSource, HostInterface, HostOp, Workload};
 use ssdx_interconnect::{AhbBus, AhbConfig};
 use ssdx_nand::{NandOp, OnfiBus};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
@@ -302,8 +300,9 @@ impl Ssd {
     }
 
     /// Opens a steppable [`SimSession`] over any [`CommandSource`]
-    /// (synthetic [`Workload`]s, [`TracePlayer`] traces, explicit
-    /// [`CommandStream`]s, closure generators, or user types).
+    /// (synthetic [`Workload`]s, [`TracePlayer`](ssdx_hostif::TracePlayer)
+    /// traces, explicit [`CommandStream`](ssdx_hostif::CommandStream)s,
+    /// closure generators, or user types).
     ///
     /// The session resets the platform's dynamic activity, materialises the
     /// source's command stream and derives the FTL workload mix from
@@ -339,42 +338,6 @@ impl Ssd {
     /// `self.session(source).finish()`.
     pub fn simulate<S: CommandSource + ?Sized>(&mut self, source: &S) -> PerfReport {
         self.session(source).finish()
-    }
-
-    /// Runs a synthetic workload through the full pipeline.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `simulate` — `Workload` implements `CommandSource`"
-    )]
-    pub fn run(&mut self, workload: &Workload) -> PerfReport {
-        self.simulate(workload)
-    }
-
-    /// Replays a parsed trace through the full pipeline.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `simulate` — `TracePlayer` implements `CommandSource`"
-    )]
-    pub fn run_trace(&mut self, trace: &TracePlayer) -> PerfReport {
-        self.simulate(trace)
-    }
-
-    /// Runs an explicit command stream through the full pipeline with a
-    /// pinned workload mix.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `simulate` with a `CommandStream` (optionally pinning the mix \
-                via `with_random_write_fraction`)"
-    )]
-    pub fn run_commands(
-        &mut self,
-        workload_label: &str,
-        commands: &[HostCommand],
-        mix: WorkloadMix,
-    ) -> PerfReport {
-        let stream = CommandStream::new(workload_label, commands.to_vec())
-            .with_random_write_fraction(mix.random_fraction);
-        self.simulate(&stream)
     }
 
     /// Maps one page of a linear FTL block onto a concrete
@@ -722,7 +685,7 @@ mod tests {
     use super::*;
     use crate::config::{CachePolicy, HostInterfaceConfig};
     use ssdx_ecc::EccScheme;
-    use ssdx_hostif::AccessPattern;
+    use ssdx_hostif::{AccessPattern, TracePlayer};
 
     fn small_workload(pattern: AccessPattern, count: u64) -> Workload {
         Workload::builder(pattern)

@@ -1,10 +1,8 @@
 //! Firmware cycle budgets.
 
-use serde::{Deserialize, Serialize};
-
 /// The firmware activities triggered by one host command as it traverses the
 /// control path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FirmwareTask {
     /// Parsing the host command and allocating internal descriptors.
     CommandDecode,
@@ -38,7 +36,7 @@ impl FirmwareTask {
 ///
 /// The budgets are expressed in CPU cycles at the core clock (200 MHz in the
 /// paper's platform), so one cycle is 5 ns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FirmwareProfile {
     /// Cycles to decode one host command.
     pub command_decode_cycles: u64,

@@ -1,12 +1,11 @@
 //! The CPU execution model.
 
 use crate::firmware::{FirmwareProfile, FirmwareTask};
-use serde::{Deserialize, Serialize};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::{Frequency, Grant, Resource, SimTime};
 
 /// Aggregate CPU activity counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuStats {
     /// Firmware tasks executed.
     pub tasks: u64,

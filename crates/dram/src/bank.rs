@@ -1,13 +1,12 @@
 //! Per-bank row state machine.
 
 use crate::timing::DdrTimings;
-use serde::{Deserialize, Serialize};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::SimTime;
 
 /// State of one DRAM bank: either all rows are precharged, or one row is
 /// open in the row buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankState {
     /// No row is open.
     Idle,
@@ -16,7 +15,7 @@ pub enum BankState {
 }
 
 /// Categories of row-buffer outcome for one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowOutcome {
     /// The addressed row was already open.
     Hit,
@@ -27,7 +26,7 @@ pub enum RowOutcome {
 }
 
 /// One DRAM bank.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bank {
     state: BankState,
     ready_at: SimTime,

@@ -2,12 +2,11 @@
 
 use crate::bank::{Bank, RowOutcome};
 use crate::timing::DdrTimings;
-use serde::{Deserialize, Serialize};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::SimTime;
 
 /// Direction of a buffer access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Data written into the buffer (e.g. host data landing in the cache).
     Write,
@@ -29,7 +28,7 @@ pub struct AccessOutcome {
 }
 
 /// Aggregate statistics for one DRAM buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Total accesses serviced.
     pub accesses: u64,

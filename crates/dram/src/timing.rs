@@ -1,11 +1,10 @@
 //! DDR2 timing parameter sets.
 
-use serde::{Deserialize, Serialize};
 use ssdx_sim::{Frequency, SimTime};
 
 /// A DDR2 SDRAM timing set, expressed in memory-clock cycles plus the clock
 /// itself, following JEDEC notation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DdrTimings {
     /// Memory clock (the data bus runs at twice this rate, DDR).
     pub clock: Frequency,

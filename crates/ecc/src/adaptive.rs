@@ -1,14 +1,12 @@
 //! The static correction table driving the adaptive BCH scheme.
 
-use serde::{Deserialize, Serialize};
-
 /// A static table correlating the target correction capability with memory
 /// page wear-out, measured in program/erase cycles.
 ///
 /// Every time a new page is written, the proper correction capability is
 /// selected from the table based on the current P/E count of its block —
 /// exactly the mechanism the paper describes for the adaptive BCH scheme.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptiveTable {
     /// `(pe_threshold, t)` entries sorted by threshold: the capability of the
     /// first entry whose threshold is `>=` the page's P/E count is used.

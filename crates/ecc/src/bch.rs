@@ -1,6 +1,5 @@
 //! BCH codec latency model.
 
-use serde::{Deserialize, Serialize};
 use ssdx_sim::SimTime;
 
 /// Latency model of a hardware BCH codec protecting one NAND page codeword.
@@ -8,7 +7,7 @@ use ssdx_sim::SimTime;
 /// The model is parametric (the paper's "Parametric Time Delay" abstraction
 /// domain): the codec is characterised only by its correction capability and
 /// the resulting encode/decode latencies, not by a functional data path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BchCodec {
     /// Correction capability `t` in bits per codeword.
     pub t: u32,

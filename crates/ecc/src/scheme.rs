@@ -2,7 +2,6 @@
 
 use crate::adaptive::AdaptiveTable;
 use crate::bch::BchCodec;
-use serde::{Deserialize, Serialize};
 use ssdx_sim::SimTime;
 
 /// An ECC scheme as instantiated inside an SSD configuration.
@@ -13,7 +12,7 @@ use ssdx_sim::SimTime;
 ///   static table indexed by the block's program/erase count.
 /// * [`EccScheme::None`] disables ECC entirely (useful for ablations and to
 ///   measure how much performance the corrector costs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EccScheme {
     /// No error correction (ablation only — a real MLC SSD cannot ship this).
     None,

@@ -39,7 +39,6 @@
 //! implementation; `tests/ftl_properties.rs` replays arbitrary command
 //! streams against that original structure as an oracle to prove it.
 
-use serde::{Deserialize, Serialize};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use std::fmt;
 
@@ -65,7 +64,7 @@ impl fmt::Display for FtlError {
 impl std::error::Error for FtlError {}
 
 /// Counters describing the work the FTL has performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FtlStats {
     /// Host page writes accepted.
     pub host_writes: u64,

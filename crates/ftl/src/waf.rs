@@ -1,14 +1,12 @@
 //! The Write Amplification Factor abstraction (greedy garbage collection).
 
-use serde::{Deserialize, Serialize};
-
 /// How random the write stream is, which drives write amplification.
 ///
 /// Purely sequential traffic fills whole blocks before they are invalidated,
 /// so greedy garbage collection reclaims blocks that are entirely invalid and
 /// the write amplification stays at 1. Purely random traffic scatters
 /// invalidations uniformly and forces the collector to relocate live pages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadMix {
     /// Fraction of the write footprint updated at random, `0.0` (sequential)
     /// to `1.0` (uniform random).
@@ -45,7 +43,7 @@ impl WorkloadMix {
 /// stream. It returns the WAF used to inflate the NAND write traffic and the
 /// equivalent garbage-collection blocking overhead, which is how SSDExplorer
 /// accounts for the FTL without implementing one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WafModel {
     /// Spare factor: `(physical - logical) / logical` capacity.
     pub over_provisioning: f64,

@@ -1,11 +1,10 @@
 //! Host commands as seen at the device interface.
 
-use serde::{Deserialize, Serialize};
 use ssdx_sim::SimTime;
 use std::fmt;
 
 /// Direction of a host command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostOp {
     /// Host reads data from the SSD.
     Read,
@@ -38,7 +37,7 @@ impl fmt::Display for HostOp {
 }
 
 /// One command issued by the host to the SSD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostCommand {
     /// Monotonically increasing command identifier.
     pub id: u64,

@@ -1,10 +1,9 @@
 //! The common host-interface abstraction.
 
-use serde::{Deserialize, Serialize};
 use ssdx_sim::SimTime;
 
 /// Which concrete host interface a configuration instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostInterfaceKind {
     /// Serial ATA II (3 Gb/s) with Native Command Queuing.
     Sata2,

@@ -1,11 +1,10 @@
 //! PCI Express / NVM Express host interface model.
 
 use crate::interface::{HostInterface, HostInterfaceKind};
-use serde::{Deserialize, Serialize};
 use ssdx_sim::SimTime;
 
 /// PCI Express generations supported by the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PcieGen {
     /// Gen 1: 2.5 GT/s per lane, 8b/10b encoding.
     Gen1,
@@ -41,7 +40,7 @@ impl PcieGen {
 /// exchanges) and supports up to 64 K entries per queue, which is what lets
 /// highly parallel SSD configurations expose their internal bandwidth even
 /// without a DRAM write cache (the paper's Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NvmeInterface {
     /// PCIe generation of the link.
     pub gen: PcieGen,

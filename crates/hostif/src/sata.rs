@@ -1,7 +1,6 @@
 //! Serial ATA host interface model.
 
 use crate::interface::{HostInterface, HostInterfaceKind};
-use serde::{Deserialize, Serialize};
 use ssdx_sim::SimTime;
 
 /// A SATA host interface with Native Command Queuing.
@@ -12,7 +11,7 @@ use ssdx_sim::SimTime;
 /// (command FIS, DMA setup/activate FIS, status FIS). The NCQ window — at
 /// most 32 outstanding commands — is the protocol property responsible for
 /// the performance flattening of no-cache SSDs in the paper's Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SataInterface {
     /// Line rate in bits per second (3 Gb/s for SATA II, 6 Gb/s for SATA III).
     pub line_rate_bps: u64,

@@ -1,12 +1,11 @@
 //! Synthetic workload generation (IOZone-like sequential/random read/write).
 
 use crate::command::{HostCommand, HostOp};
-use serde::{Deserialize, Serialize};
 use ssdx_sim::rng::SimRng;
 use ssdx_sim::SimTime;
 
 /// The four IOZone-style access patterns used throughout the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPattern {
     /// Sequential write (SW).
     SequentialWrite,
@@ -54,7 +53,7 @@ impl AccessPattern {
 }
 
 /// A fully specified synthetic workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Workload {
     /// Access pattern.
     pub pattern: AccessPattern,

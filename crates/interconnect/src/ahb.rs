@@ -1,12 +1,11 @@
 //! Single-layer AMBA AHB bus.
 
-use serde::{Deserialize, Serialize};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::{Frequency, Resource, RoundRobinArbiter, SimTime};
 use std::fmt;
 
 /// Static configuration of an AHB bus instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AhbConfig {
     /// Bus clock (the paper runs the AHB at the CPU frequency, 200 MHz).
     pub clock: Frequency,
@@ -81,7 +80,7 @@ impl fmt::Display for AhbError {
 impl std::error::Error for AhbError {}
 
 /// The burst type chosen for (a portion of) a transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BurstKind {
     /// Single beat.
     Single,
@@ -134,7 +133,7 @@ pub struct Transfer {
 }
 
 /// Per-master accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusStats {
     /// Transfers completed.
     pub transfers: u64,

@@ -40,7 +40,7 @@ pub struct PubItem {
     /// `pub mod a { pub mod b { … } }`).
     pub module_path: String,
     /// Rendered surface entry, e.g. `fn quantile(&self, q: f64) -> u64`
-    /// or `impl Scheduler<T> :: fn pop(&mut self) -> Option<Event<T>>`.
+    /// or `impl Resource :: fn free_at(&self) -> SimTime`.
     pub entry: String,
     /// Byte offset of the item in the source (diagnostics anchor).
     pub offset: usize,

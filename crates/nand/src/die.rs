@@ -3,7 +3,6 @@
 
 use crate::geometry::{GeometryError, NandConfig, PageAddr};
 use crate::timing::{NandOp, PageKind};
-use serde::{Deserialize, Serialize};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::hash::FastHashMap;
 use ssdx_sim::rng::SimRng;
@@ -25,7 +24,7 @@ pub struct OpOutcome {
 }
 
 /// Statistics accumulated by one die.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DieStats {
     /// Pages read.
     pub reads: u64,

@@ -1,13 +1,12 @@
 //! NAND flash device geometry: dies, planes, blocks and pages.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Physical organisation of one NAND die.
 ///
 /// NAND flash devices are hierarchically organised in dies, planes, blocks
 /// and pages; program and read operate on pages, erase on whole blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NandGeometry {
     /// Planes per die (concurrently programmable with multi-plane commands).
     pub planes_per_die: u32,
@@ -106,7 +105,7 @@ impl fmt::Display for GeometryError {
 impl std::error::Error for GeometryError {}
 
 /// Address of one page inside a die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageAddr {
     /// Plane index inside the die.
     pub plane: u32,
@@ -147,7 +146,7 @@ impl fmt::Display for PageAddr {
 
 /// Complete configuration of a NAND die: geometry plus timing and wear
 /// parameters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NandConfig {
     /// Physical organisation.
     pub geometry: NandGeometry,

@@ -8,12 +8,11 @@
 //! exposing per-transfer bus occupancy times that the channel controller
 //! reserves on a shared [`ssdx_sim::Resource`].
 
-use serde::{Deserialize, Serialize};
 use ssdx_sim::SimTime;
 
 /// Supported ONFI interface speeds (mega-transfers per second on the 8-bit
 /// data bus).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum OnfiSpeed {
     /// Asynchronous SDR interface with a 50 ns cycle, ~20 MB/s (the legacy
     /// mode of the 2 KB-page MLC parts the paper's experiments model).
@@ -46,7 +45,7 @@ impl OnfiSpeed {
 }
 
 /// Timing model of one ONFI channel bus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnfiBus {
     /// Interface speed grade.
     pub speed: OnfiSpeed,

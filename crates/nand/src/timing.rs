@@ -7,11 +7,10 @@
 //! `tREAD` is 60 µs and `tBERS` spans 1 – 10 ms; erase time and, to a lesser
 //! extent, program time stretch as the block wears out.
 
-use serde::{Deserialize, Serialize};
 use ssdx_sim::SimTime;
 
 /// The NAND operations the array accepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NandOp {
     /// Page read (`tREAD` array access, data then travels over the ONFI bus).
     Read,
@@ -30,7 +29,7 @@ impl NandOp {
 }
 
 /// Classification of a page inside an MLC block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageKind {
     /// Least-significant-bit (fast) page.
     Lsb,
@@ -42,7 +41,7 @@ pub enum PageKind {
 ///
 /// All times are expressed in microseconds to mirror datasheet notation and
 /// converted to [`SimTime`] on demand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlcTimingProfile {
     /// Array read time, µs (`tR`).
     pub t_read_us: u64,

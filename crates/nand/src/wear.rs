@@ -5,11 +5,10 @@
 //! in turn forces the ECC to correct more bits per codeword — the effect the
 //! paper's Fig. 5 quantifies at SSD level.
 
-use serde::{Deserialize, Serialize};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 
 /// Parameters of the wear/RBER model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearModel {
     /// Rated endurance in P/E cycles (the "normalized rated endurance" axis
     /// of Fig. 5 is P/E cycles divided by this number).
@@ -77,7 +76,7 @@ impl Default for WearModel {
 }
 
 /// Per-block wear bookkeeping.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockWear {
     pe_cycles: u64,
     programs: u64,

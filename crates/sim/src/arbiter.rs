@@ -1,7 +1,6 @@
 //! Round-robin arbitration, as used by the AMBA AHB bus arbiter.
 
 use crate::codec::{DecodeError, Decoder, Encoder};
-use serde::{Deserialize, Serialize};
 
 /// A round-robin arbiter over a fixed set of requesters.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(arb.grant(&[true, true, false, true]), Some(3));
 /// assert_eq!(arb.grant(&[true, true, false, true]), Some(0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoundRobinArbiter {
     ports: usize,
     last_granted: Option<usize>,

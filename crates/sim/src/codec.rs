@@ -2,7 +2,7 @@
 //!
 //! The platform's snapshot format (`ssdx-core::snapshot`) is a hand-rolled
 //! byte codec, in the same spirit as the hand-rolled JSON writers elsewhere
-//! in the workspace: the vendored serde is a derive marker, not a framework.
+//! in the workspace: no serialization framework is a dependency.
 //! This module provides the byte-level primitives every layer shares:
 //!
 //! * [`Encoder`] appends LEB128 varints (`u32`/`u64`/`u128`), raw IEEE-754

@@ -1,19 +1,24 @@
-//! Discrete-event simulation kernel for the SSDExplorer virtual platform.
+//! Simulation kernel for the SSDExplorer virtual platform.
 //!
-//! The original SSDExplorer is built on SystemC; this crate provides the
-//! equivalent substrate in pure Rust: a simulated time base with picosecond
-//! resolution ([`SimTime`]), an event calendar ([`Scheduler`]), resource
-//! reservation primitives used to model shared hardware blocks
-//! ([`Resource`], [`RoundRobinArbiter`]), collection of performance
-//! statistics ([`stats`]), and a small deterministic random number generator
-//! ([`rng::SimRng`]) so that simulations are reproducible.
+//! The original SSDExplorer is built on SystemC's event kernel. This port
+//! models the platform as a reservation calendar instead: every shared
+//! hardware block is a [`Resource`] that books service windows first come,
+//! first served, and a command's latency is the chain of [`Grant`]s its
+//! pipeline stages receive. The crate provides that substrate in pure Rust:
+//! a simulated time base with picosecond resolution ([`SimTime`]), the
+//! reservation primitive ([`Resource`], plus the [`RoundRobinArbiter`] the
+//! AHB bus grants through), performance statistics ([`stats`]), a
+//! deterministic random number generator ([`rng::SimRng`]) so simulations
+//! are reproducible, and the versioned binary [`codec`] every component's
+//! state is captured with.
 //!
 //! Every primitive is thread-safe by construction — plain data with no
 //! interior mutability, no globals, no thread-locals — so a whole platform
 //! built from them is `Send` and can be constructed and driven on a worker
 //! thread of a parallel sweep executor. A compile-time test pins
-//! [`Scheduler`], [`SimRng`](rng::SimRng), [`Resource`] and
-//! [`RoundRobinArbiter`] as `Send + Sync`.
+//! [`SimTime`], [`SimRng`](rng::SimRng), [`Resource`],
+//! [`RoundRobinArbiter`] and the legacy
+//! [`LatencyHistogram`](stats::LatencyHistogram) as `Send + Sync`.
 //!
 //! # Example
 //!
@@ -33,19 +38,15 @@
 
 pub mod arbiter;
 pub mod codec;
-pub mod event;
 pub mod hash;
 pub mod resource;
 pub mod rng;
-pub mod scheduler;
 pub mod stats;
 pub mod time;
 
 pub use arbiter::RoundRobinArbiter;
 pub use codec::{DecodeError, Decoder, Encoder};
-pub use event::{Event, EventId};
-pub use resource::{Grant, MultiResource, Resource};
-pub use scheduler::Scheduler;
+pub use resource::{Grant, Resource};
 pub use time::{Frequency, SimTime};
 
 #[cfg(test)]
@@ -66,11 +67,8 @@ mod thread_safety {
         assert_sync::<rng::SimRng>();
         assert_send::<Resource>();
         assert_sync::<Resource>();
-        assert_send::<MultiResource>();
         assert_send::<RoundRobinArbiter>();
         assert_sync::<RoundRobinArbiter>();
-        assert_send::<Scheduler<u64>>();
-        assert_sync::<Scheduler<u64>>();
         assert_send::<stats::LatencyHistogram>();
         assert_sync::<stats::LatencyHistogram>();
     }

@@ -1,10 +1,9 @@
-//! Resource-reservation primitives used to model shared hardware blocks.
+//! The resource-reservation primitive every shared hardware block is modelled
+//! with.
 //!
 //! A [`Resource`] models a single-ported hardware unit (a bus, a DMA engine,
 //! a NAND die, …): requests are served first-come-first-served and a request
-//! arriving while the unit is busy waits until it frees up. A
-//! [`MultiResource`] models a pool of identical servers (e.g. the per-channel
-//! ECC decoder pipelines).
+//! arriving while the unit is busy waits until it frees up.
 //!
 //! Reservations return a [`Grant`] describing when service actually starts
 //! and ends, so callers can chain stages of a pipeline by feeding one grant's
@@ -95,15 +94,6 @@ impl Resource {
         }
     }
 
-    /// Reserves the resource only if it is idle at `at`; otherwise returns
-    /// `None` and leaves the resource untouched.
-    pub fn try_reserve(&mut self, at: SimTime, duration: SimTime) -> Option<Grant> {
-        if self.free_at > at {
-            return None;
-        }
-        Some(self.reserve(at, duration))
-    }
-
     /// Fraction of time the resource was busy up to `horizon`.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         self.util.ratio(horizon)
@@ -144,133 +134,6 @@ impl Resource {
     }
 }
 
-/// A pool of `n` identical single-ported servers; each request is assigned to
-/// the server that frees up earliest.
-///
-/// # Example
-///
-/// ```
-/// use ssdx_sim::{MultiResource, SimTime};
-/// let mut decoders = MultiResource::new("bch-decoders", 2);
-/// let a = decoders.reserve(SimTime::ZERO, SimTime::from_us(5));
-/// let b = decoders.reserve(SimTime::ZERO, SimTime::from_us(5));
-/// let c = decoders.reserve(SimTime::ZERO, SimTime::from_us(5));
-/// assert_eq!(a.start, SimTime::ZERO);
-/// assert_eq!(b.start, SimTime::ZERO);
-/// assert_eq!(c.start, SimTime::from_us(5)); // both servers busy
-/// ```
-#[derive(Debug, Clone)]
-pub struct MultiResource {
-    name: String,
-    servers: Vec<SimTime>,
-    util: Utilization,
-    served: u64,
-}
-
-impl MultiResource {
-    /// Creates a pool of `servers` idle servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` is zero.
-    pub fn new(name: impl Into<String>, servers: usize) -> Self {
-        assert!(servers > 0, "a resource pool needs at least one server");
-        MultiResource {
-            name: name.into(),
-            servers: vec![SimTime::ZERO; servers],
-            util: Utilization::new(),
-            served: 0,
-        }
-    }
-
-    /// Diagnostic name given at construction.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of servers in the pool.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Number of requests served so far.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Earliest instant at which at least one server is idle.
-    pub fn earliest_free(&self) -> SimTime {
-        self.servers.iter().copied().min().unwrap_or(SimTime::ZERO)
-    }
-
-    /// Reserves one server for `duration`, starting no earlier than `at`.
-    pub fn reserve(&mut self, at: SimTime, duration: SimTime) -> Grant {
-        let (idx, _) = self
-            .servers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, free)| **free)
-            .expect("pool is non-empty");
-        let start = at.max(self.servers[idx]);
-        let end = start + duration;
-        self.servers[idx] = end;
-        self.util.add_busy(duration);
-        self.served += 1;
-        Grant {
-            start,
-            end,
-            wait: start - at,
-        }
-    }
-
-    /// Average per-server utilization up to `horizon`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.is_zero() {
-            return 0.0;
-        }
-        self.util.ratio(horizon) / self.servers.len() as f64
-    }
-
-    /// Resets every server to idle at time zero, clearing statistics.
-    pub fn reset(&mut self) {
-        for s in &mut self.servers {
-            *s = SimTime::ZERO;
-        }
-        self.util = Utilization::new();
-        self.served = 0;
-    }
-
-    /// Encodes the mutable state, in stable field order: server count,
-    /// per-server `free_at`, `util`, `served`. The name is
-    /// construction-derived and not snapshot state.
-    pub fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_len(self.servers.len());
-        for &s in &self.servers {
-            enc.put_time(s);
-        }
-        self.util.encode_state(enc);
-        enc.put_u64(self.served);
-    }
-
-    /// Restores state captured by [`encode_state`](Self::encode_state).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on malformed input or if the encoded server
-    /// count differs from this pool's (the pool size is a configuration
-    /// parameter, so a mismatch means the snapshot belongs to a different
-    /// platform).
-    pub fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
-        dec.get_exact_len(self.servers.len())?;
-        for s in &mut self.servers {
-            *s = dec.get_time()?;
-        }
-        self.util.decode_state(dec)?;
-        self.served = dec.get_u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,18 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn try_reserve_fails_when_busy() {
-        let mut r = Resource::new("x");
-        r.reserve(SimTime::ZERO, SimTime::from_ns(100));
-        assert!(r
-            .try_reserve(SimTime::from_ns(50), SimTime::from_ns(10))
-            .is_none());
-        assert!(r
-            .try_reserve(SimTime::from_ns(100), SimTime::from_ns(10))
-            .is_some());
-    }
-
-    #[test]
     fn utilization_is_busy_over_horizon() {
         let mut r = Resource::new("x");
         r.reserve(SimTime::ZERO, SimTime::from_ns(250));
@@ -326,33 +177,5 @@ mod tests {
         assert_eq!(r.free_at(), SimTime::ZERO);
         assert_eq!(r.served(), 0);
         assert_eq!(r.busy_time(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn multi_resource_uses_all_servers() {
-        let mut m = MultiResource::new("pool", 4);
-        let dur = SimTime::from_us(10);
-        let grants: Vec<Grant> = (0..8).map(|_| m.reserve(SimTime::ZERO, dur)).collect();
-        let immediate = grants.iter().filter(|g| g.start == SimTime::ZERO).count();
-        assert_eq!(immediate, 4);
-        let queued = grants.iter().filter(|g| g.start == dur).count();
-        assert_eq!(queued, 4);
-        assert_eq!(m.server_count(), 4);
-        assert_eq!(m.served(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn zero_server_pool_is_rejected() {
-        let _ = MultiResource::new("bad", 0);
-    }
-
-    #[test]
-    fn multi_resource_earliest_free_tracks_min() {
-        let mut m = MultiResource::new("pool", 2);
-        m.reserve(SimTime::ZERO, SimTime::from_ns(100));
-        assert_eq!(m.earliest_free(), SimTime::ZERO);
-        m.reserve(SimTime::ZERO, SimTime::from_ns(40));
-        assert_eq!(m.earliest_free(), SimTime::from_ns(40));
     }
 }

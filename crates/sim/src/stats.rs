@@ -1,100 +1,21 @@
-//! Performance-statistics collection: counters, throughput meters, latency
-//! histograms and utilization trackers.
+//! Performance-statistics collection: the power-of-two latency histogram
+//! carried in every report and the busy-time tracker behind each
+//! [`Resource`](crate::Resource)'s utilization.
 //!
-//! These are the building blocks of the per-component performance breakdown
-//! the virtual platform reports (the paper's `DDR+FLASH`, `SATA+DDR`, `SSD`
-//! columns are all derived from throughput meters attached to different
-//! pipeline stages).
+//! Throughput is not accumulated here. The paper's `SSD` columns come from
+//! the bytes and elapsed time of a whole session run, and its `SATA+DDR` and
+//! `DDR+FLASH` reference series from dedicated component-path runs in
+//! `ssdx-core`.
 
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
-
-/// A simple monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.count
-    }
-}
-
-/// Accumulates bytes moved and converts them into MB/s over a horizon.
-///
-/// Throughput is reported in decimal megabytes per second (10^6 bytes), the
-/// unit used throughout the paper's figures.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    ops: u64,
-}
-
-impl ThroughputMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        ThroughputMeter::default()
-    }
-
-    /// Records `bytes` moved by one operation.
-    pub fn record(&mut self, bytes: u64) {
-        self.bytes += bytes;
-        self.ops += 1;
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total operations recorded.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Mean throughput in MB/s over `elapsed` simulated time.
-    ///
-    /// Returns 0 when no time has elapsed.
-    pub fn mbps(&self, elapsed: SimTime) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        self.bytes as f64 / 1e6 / elapsed.as_secs_f64()
-    }
-
-    /// Mean I/O operations per second over `elapsed` simulated time.
-    pub fn iops(&self, elapsed: SimTime) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        self.ops as f64 / elapsed.as_secs_f64()
-    }
-}
 
 /// Online latency statistics with logarithmic histogram buckets.
 ///
 /// Buckets are powers of two of nanoseconds, which is plenty of resolution to
 /// distinguish microsecond-scale interface latencies from millisecond-scale
 /// NAND program times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -224,7 +145,7 @@ impl Default for LatencyHistogram {
 }
 
 /// Tracks how much of the simulated horizon a component spent busy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Utilization {
     busy: SimTime,
 }
@@ -272,35 +193,6 @@ impl Utilization {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_increments() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-    }
-
-    #[test]
-    fn throughput_in_mbps() {
-        let mut t = ThroughputMeter::new();
-        // 100 MB over 0.5 s -> 200 MB/s.
-        for _ in 0..100 {
-            t.record(1_000_000);
-        }
-        assert!((t.mbps(SimTime::from_ms(500)) - 200.0).abs() < 1e-9);
-        assert!((t.iops(SimTime::from_ms(500)) - 200.0).abs() < 1e-9);
-        assert_eq!(t.bytes(), 100_000_000);
-        assert_eq!(t.ops(), 100);
-    }
-
-    #[test]
-    fn throughput_zero_elapsed_is_zero() {
-        let mut t = ThroughputMeter::new();
-        t.record(4096);
-        assert_eq!(t.mbps(SimTime::ZERO), 0.0);
-        assert_eq!(t.iops(SimTime::ZERO), 0.0);
-    }
 
     #[test]
     fn histogram_mean_min_max() {

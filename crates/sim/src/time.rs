@@ -6,7 +6,6 @@
 //! SATA 3 Gb/s, PCIe 5 GT/s) has an exact integer period, so no rounding error
 //! accumulates across long simulations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -23,9 +22,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = SimTime::from_us(60) + SimTime::from_ns(500);
 /// assert_eq!(t.as_ns(), 60_500);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -264,7 +261,7 @@ impl fmt::Display for SimTime {
 /// assert_eq!(cpu.period().as_ns(), 5);
 /// assert_eq!(cpu.cycles_to_time(200_000_000).as_ms(), 1000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frequency {
     hz: u64,
 }

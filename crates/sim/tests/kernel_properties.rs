@@ -1,9 +1,9 @@
-//! Property-based tests of the simulation kernel: time arithmetic, calendar
-//! ordering, resource bookkeeping and arbiter fairness.
+//! Property-based tests of the simulation kernel: time arithmetic, resource
+//! bookkeeping, arbiter fairness and histogram ordering.
 
 use proptest::prelude::*;
-use ssdx_sim::stats::{LatencyHistogram, ThroughputMeter};
-use ssdx_sim::{Frequency, MultiResource, Resource, RoundRobinArbiter, Scheduler, SimTime};
+use ssdx_sim::stats::LatencyHistogram;
+use ssdx_sim::{Frequency, Resource, RoundRobinArbiter, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -41,69 +41,6 @@ proptest! {
     }
 
     #[test]
-    fn scheduler_processes_every_event_exactly_once(times in prop::collection::vec(0u64..100_000, 0..300)) {
-        let mut scheduler: Scheduler<usize> = Scheduler::new();
-        for (i, t) in times.iter().enumerate() {
-            scheduler.schedule(SimTime::from_ns(*t), i);
-        }
-        let mut seen = vec![false; times.len()];
-        while let Some(event) = scheduler.pop() {
-            prop_assert!(!seen[event.payload], "event delivered twice");
-            seen[event.payload] = true;
-        }
-        prop_assert!(seen.into_iter().all(|s| s));
-        prop_assert!(scheduler.is_empty());
-    }
-
-    #[test]
-    fn batched_delivery_equals_event_by_event_delivery(times in prop::collection::vec(0u64..200, 0..300)) {
-        // The arena heap's batch drain must deliver exactly the sequence the
-        // one-at-a-time pop does — same payload order, same timestamps —
-        // only grouped by instant.
-        let mut singles: Scheduler<usize> = Scheduler::new();
-        let mut batched: Scheduler<usize> = Scheduler::new();
-        for (i, t) in times.iter().enumerate() {
-            singles.schedule(SimTime::from_ns(*t), i);
-            batched.schedule(SimTime::from_ns(*t), i);
-        }
-        let mut single_order = Vec::new();
-        while let Some(ev) = singles.pop() {
-            single_order.push((ev.at, ev.payload));
-        }
-        let mut batch_order = Vec::new();
-        let mut buf = Vec::new();
-        while batched.pop_batch_into(&mut buf) > 0 {
-            let at = buf[0].at;
-            for ev in &buf {
-                prop_assert_eq!(ev.at, at, "a batch must share one instant");
-                batch_order.push((ev.at, ev.payload));
-            }
-        }
-        prop_assert_eq!(single_order, batch_order);
-        prop_assert_eq!(singles.processed(), batched.processed());
-    }
-
-    #[test]
-    fn arena_capacity_is_bounded_by_peak_pending(depth in 1usize..40, rounds in 1u64..2_000) {
-        // Streaming `rounds` events through a calendar that never holds more
-        // than `depth` pending must not grow the arena past `depth` slots:
-        // the zero-allocation steady state of the index-arena design.
-        let mut s: Scheduler<u64> = Scheduler::new();
-        for i in 0..depth as u64 {
-            s.schedule(SimTime::from_ns(i), i);
-        }
-        for r in 0..rounds {
-            let ev = s.pop().expect("pending events remain");
-            s.schedule(ev.at + SimTime::from_ns(depth as u64), r);
-        }
-        prop_assert_eq!(s.pending(), depth);
-        prop_assert!(
-            s.arena_capacity() <= depth,
-            "arena grew past peak pending: {} > {}", s.arena_capacity(), depth
-        );
-    }
-
-    #[test]
     fn resource_total_busy_equals_sum_of_durations(durations in prop::collection::vec(1u64..10_000, 1..100)) {
         let mut resource = Resource::new("busy");
         let mut expected = SimTime::ZERO;
@@ -114,21 +51,6 @@ proptest! {
         prop_assert_eq!(resource.busy_time(), expected);
         prop_assert_eq!(resource.free_at(), expected);
         prop_assert_eq!(resource.served(), durations.len() as u64);
-    }
-
-    #[test]
-    fn multi_resource_is_never_slower_than_single(reqs in prop::collection::vec((0u64..1_000, 1u64..500), 1..60)) {
-        let mut single = Resource::new("single");
-        let mut quad = MultiResource::new("quad", 4);
-        let mut single_end = SimTime::ZERO;
-        let mut quad_end = SimTime::ZERO;
-        for (at, dur) in reqs {
-            let at = SimTime::from_ns(at);
-            let dur = SimTime::from_ns(dur);
-            single_end = single_end.max(single.reserve(at, dur).end);
-            quad_end = quad_end.max(quad.reserve(at, dur).end);
-        }
-        prop_assert!(quad_end <= single_end);
     }
 
     #[test]
@@ -145,18 +67,6 @@ proptest! {
     }
 
     #[test]
-    fn throughput_meter_is_linear_in_bytes(chunks in prop::collection::vec(1u64..1_000_000, 1..50)) {
-        let mut meter = ThroughputMeter::new();
-        for c in &chunks {
-            meter.record(*c);
-        }
-        let total: u64 = chunks.iter().sum();
-        prop_assert_eq!(meter.bytes(), total);
-        let mbps = meter.mbps(SimTime::from_secs(1));
-        prop_assert!((mbps - total as f64 / 1e6).abs() < 1e-9);
-    }
-
-    #[test]
     fn histogram_percentiles_are_ordered(samples in prop::collection::vec(1u64..10_000_000, 1..300)) {
         let mut histogram = LatencyHistogram::new();
         for s in &samples {
@@ -170,24 +80,4 @@ proptest! {
         prop_assert!(histogram.min() <= histogram.mean());
         prop_assert!(histogram.mean() <= histogram.max());
     }
-}
-
-#[test]
-fn scheduler_interleaves_newly_scheduled_events_correctly() {
-    // A process-like pattern: every event reschedules itself twice with
-    // different delays; the calendar must still deliver in global time order.
-    let mut scheduler = Scheduler::new();
-    scheduler.schedule(SimTime::from_ns(10), 3u32);
-    let mut deliveries = Vec::new();
-    scheduler.run(|sched, event| {
-        deliveries.push(event.at);
-        if event.payload > 0 {
-            sched.schedule_after(SimTime::from_ns(7), event.payload - 1);
-            sched.schedule_after(SimTime::from_ns(3), event.payload - 1);
-        }
-    });
-    let mut sorted = deliveries.clone();
-    sorted.sort();
-    assert_eq!(deliveries, sorted, "events must be delivered in time order");
-    assert_eq!(deliveries.len(), 1 + 2 + 4 + 8);
 }

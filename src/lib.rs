@@ -27,7 +27,7 @@
 
 #![warn(rust_2018_idioms)]
 
-/// Discrete-event simulation kernel (time base, calendar, resources, stats).
+/// Simulation kernel (time base, resource reservation, stats, state codec).
 pub use ssdx_sim as sim;
 
 /// NAND flash memory array model.

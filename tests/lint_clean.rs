@@ -11,7 +11,7 @@ use std::path::Path;
 
 use ssdx_lint::{
     api_snapshots, collect_sources, lint_workspace, registry, render_text, ANALYSES, API_CRATES,
-    API_DIR, LAYERS, RULES,
+    API_DIR, HOT_PATHS, LAYERS, RULES,
 };
 
 #[test]
@@ -105,6 +105,24 @@ fn layer_table_covers_all_members() {
     }
     for analysis in ANALYSES {
         assert!(!analysis.name.is_empty());
+    }
+}
+
+/// Every path the rule tables name exists, so deleting or moving a file
+/// cannot silently shrink an audit: a stale `HOT_PATHS` entry drops a file
+/// from the no-panic audit, and a stale exemption hides the next file that
+/// takes its place.
+#[test]
+fn rule_tables_name_only_existing_paths() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let exempt = RULES
+        .iter()
+        .flat_map(|spec| spec.exempt.iter().map(|(path, _)| *path));
+    for path in HOT_PATHS.iter().copied().chain(exempt) {
+        assert!(
+            root.join(path).exists(),
+            "rule table path `{path}` does not exist (crates/lint/src/rules.rs)"
+        );
     }
 }
 

@@ -1,14 +1,12 @@
 //! Integration tests for the parallel sweep executor: a parallel `Sweep`
-//! must be byte-identical to the sequential one at every thread count, the
-//! paper studies re-expressed on top of it must keep their legacy-shim
-//! fidelity, and the speedup meter must report self-consistent numbers.
+//! must be byte-identical to the sequential one at every thread count, and
+//! the speedup meter must report self-consistent numbers.
 
 use proptest::prelude::*;
 use ssdexplorer::core::{
-    explorer, measure_sweep_speedup, Axis, CachePolicy, Explorer, HostInterfaceConfig,
-    ParallelExecutor, SsdConfig, Sweep,
+    explorer, measure_sweep_speedup, Axis, CachePolicy, Explorer, ParallelExecutor, SsdConfig,
+    Sweep,
 };
-use ssdexplorer::ecc::EccScheme;
 use ssdexplorer::hostif::{source_fn, AccessPattern, HostCommand, HostOp, Workload};
 use ssdexplorer::sim::SimTime;
 
@@ -99,39 +97,6 @@ fn parallel_execution_works_with_setup_hooks_and_custom_sources() {
     let fresh = &sequential.points[0].report;
     let eol = &sequential.points[4].report;
     assert!(eol.throughput_mbps < fresh.throughput_mbps);
-}
-
-#[test]
-fn paper_studies_stay_consistent_on_the_parallel_path() {
-    // host_interface_study and wearout_study now run their Explorer product
-    // through the ParallelExecutor; their deprecated shims must therefore
-    // still be byte-identical, which pins parallel == sequential end to end.
-    let configs = vec![
-        SsdConfig::builder("small")
-            .topology(2, 2, 1)
-            .dram_buffers(2)
-            .dram_buffer_capacity(128 * 1024)
-            .build()
-            .unwrap(),
-        SsdConfig::builder("large")
-            .topology(4, 4, 2)
-            .dram_buffers(4)
-            .dram_buffer_capacity(128 * 1024)
-            .build()
-            .unwrap(),
-    ];
-    let w = workload(128);
-    let study = explorer::host_interface_study(HostInterfaceConfig::Sata2, &configs, &w).unwrap();
-    #[allow(deprecated)]
-    let legacy = explorer::sweep_host_interface(HostInterfaceConfig::Sata2, &configs, &w);
-    assert_eq!(legacy, study);
-
-    let base = configs[0].clone();
-    let points = [0.0, 0.5, 1.0];
-    let wear = explorer::wearout_study(&base, EccScheme::adaptive_bch(40), &points, 48).unwrap();
-    #[allow(deprecated)]
-    let wear_legacy = explorer::wearout_sweep(&base, EccScheme::adaptive_bch(40), &points, 48);
-    assert_eq!(wear_legacy, wear);
 }
 
 #[test]

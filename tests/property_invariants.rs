@@ -13,7 +13,7 @@ use ssdexplorer::ecc::{BchCodec, EccScheme};
 use ssdexplorer::ftl::{PageMappedFtl, WafModel, WorkloadMix};
 use ssdexplorer::hostif::{AccessPattern, HostInterface, SataInterface, Workload};
 use ssdexplorer::nand::{MlcTimingProfile, PageKind, WearModel};
-use ssdexplorer::sim::{Resource, RoundRobinArbiter, Scheduler, SimTime};
+use ssdexplorer::sim::{Resource, RoundRobinArbiter, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -25,20 +25,6 @@ proptest! {
         prop_assert_eq!(ta + tb, tb + ta);
         prop_assert!(ta + tb >= ta);
         prop_assert_eq!((ta + tb).saturating_sub(tb), ta);
-    }
-
-    #[test]
-    fn scheduler_always_delivers_in_time_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut scheduler = Scheduler::new();
-        for (i, t) in times.iter().enumerate() {
-            scheduler.schedule(SimTime::from_ns(*t), i);
-        }
-        let mut last = SimTime::ZERO;
-        while let Some(event) = scheduler.pop() {
-            prop_assert!(event.at >= last, "events must come out in time order");
-            last = event.at;
-        }
-        prop_assert_eq!(scheduler.processed(), times.len() as u64);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! report — including all floating-point digits — character for character.
 //! Any change to a simulated instant, a statistic or a report field anywhere
 //! in the pipeline fails this suite, which is what licenses the flat-memory
-//! FTL, the event-arena scheduler and the component-model fast paths to call
-//! themselves *pure* speed work.
+//! FTL, the DRAM row-segment kernel and the component-model fast paths to
+//! call themselves *pure* speed work.
 
 use ssdx_core::configs::{fig5_config, table2_configs, table3_configs};
 use ssdx_core::{

@@ -1,12 +1,10 @@
 //! Integration tests for the session-based execution API: `CommandSource`
-//! genericity, `SimSession` step/finish equivalence, probe ordering, and
-//! the deprecated shims' fidelity to the new generic path.
+//! genericity, `SimSession` step/finish equivalence and probe ordering.
 
 use proptest::prelude::*;
 use ssdexplorer::core::{
     CommandRecord, CompletionLog, PerfReport, Probe, SessionSnapshot, Ssd, SsdConfig,
 };
-use ssdexplorer::ftl::WorkloadMix;
 use ssdexplorer::hostif::{
     source_fn, AccessPattern, CommandSource, CommandStream, HostCommand, HostOp, TracePlayer,
     Workload,
@@ -94,60 +92,6 @@ fn multiple_probes_all_observe_the_run() {
     assert_eq!(a.records().len(), 64);
     assert_eq!(b.records().len(), 64);
     assert!(a.is_finished() && b.is_finished());
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_shim_matches_simulate() {
-    for pattern in AccessPattern::all() {
-        let w = Workload::builder(pattern)
-            .command_count(256)
-            .footprint_bytes(64 << 20)
-            .build();
-        let legacy = Ssd::new(small_config("legacy")).run(&w);
-        let generic = Ssd::new(small_config("legacy")).simulate(&w);
-        assert_eq!(
-            fingerprint(&legacy),
-            fingerprint(&generic),
-            "{pattern:?}: run() must be a faithful shim"
-        );
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_trace_shim_matches_simulate() {
-    let mut text = String::new();
-    for i in 0..128u64 {
-        // A mixed trace with a non-contiguous write every fourth command.
-        let offset = if i % 4 == 0 { i * 1_048_576 } else { i * 4096 };
-        let op = if i % 8 == 0 { "read" } else { "write" };
-        text.push_str(&format!("{} {} {} 4096\n", i, op, offset));
-    }
-    let trace = TracePlayer::parse(&text).expect("trace parses");
-    let legacy = Ssd::new(small_config("trace")).run_trace(&trace);
-    let generic = Ssd::new(small_config("trace")).simulate(&trace);
-    assert_eq!(fingerprint(&legacy), fingerprint(&generic));
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_commands_shim_matches_a_pinned_command_stream() {
-    let commands: Vec<HostCommand> = (0..96)
-        .map(|i| HostCommand {
-            id: i,
-            op: HostOp::Write,
-            offset: i * 4096,
-            bytes: 4096,
-            issue_at: SimTime::ZERO,
-        })
-        .collect();
-    let mix = WorkloadMix::mixed(0.4);
-    let legacy = Ssd::new(small_config("cmds")).run_commands("mine", &commands, mix);
-    let stream = CommandStream::new("mine", commands).with_random_write_fraction(0.4);
-    let generic = Ssd::new(small_config("cmds")).simulate(&stream);
-    assert_eq!(fingerprint(&legacy), fingerprint(&generic));
-    assert_eq!(legacy.workload, "mine");
 }
 
 #[test]
