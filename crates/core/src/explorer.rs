@@ -1294,8 +1294,8 @@ mod tests {
 
     #[test]
     fn sweep_table_rendering_is_pinned() {
+        use crate::metrics::LatencyHistogram;
         use crate::report::{PerfReport, UtilizationBreakdown};
-        use ssdx_sim::stats::LatencyHistogram;
         use ssdx_sim::SimTime;
         let mut latency = LatencyHistogram::new();
         latency.record(SimTime::from_us(100));
@@ -1312,7 +1312,7 @@ mod tests {
             waf: 1.0,
             nand_page_programs: 20,
             nand_page_reads: 0,
-            latency: latency.clone(),
+            latency: Box::new(latency),
             utilization: UtilizationBreakdown::default(),
             class_latency: Box::new(crate::metrics::ClassHistograms::new()),
         };

@@ -61,13 +61,13 @@ const BUCKETS: usize = OCTAVES * SUBS;
 /// relative error of it — the bound the `tail_metrics` property suite
 /// asserts against exact sorted-vector quantiles.
 ///
-/// Not to be confused with the legacy whole-run
-/// [`ssdx_sim::stats::LatencyHistogram`] carried in
-/// [`PerfReport::latency`](crate::PerfReport::latency): that one keeps the
-/// paper-era power-of-two buckets and is part of the golden capture
-/// format; *this* type (re-exported as `ssdx_core::LatencyHistogram`) is
-/// the steady-state tail-metrics histogram behind
-/// [`PerfReport::class_latency`](crate::PerfReport::class_latency).
+/// It is the workspace's one latency histogram: the steady-state
+/// per-class histograms behind
+/// [`PerfReport::class_latency`](crate::PerfReport::class_latency) and the
+/// whole-run [`PerfReport::latency`](crate::PerfReport::latency) are both
+/// this type. The report's golden `Debug` capture and its p99 show the
+/// paper-era power-of-two buckets, derived exactly from these: every
+/// log-linear bucket lies inside one power-of-two bucket.
 ///
 /// # Example
 ///
@@ -315,6 +315,194 @@ impl std::fmt::Debug for LatencyHistogram {
     }
 }
 
+/// The paper-era power-of-two view of a [`LatencyHistogram`]. A private
+/// module, so the view's `Debug` impl stays out of the public API surface.
+mod pow2 {
+    use super::LatencyHistogram;
+    use ssdx_sim::SimTime;
+    use std::fmt;
+
+    /// Buckets of the view.
+    const BUCKETS: usize = 48;
+
+    /// A [`LatencyHistogram`] in the paper-era power-of-two layout: bucket
+    /// 0 holds 0 ns, bucket `i` holds `[2^(i-1), 2^i)` ns and the last
+    /// bucket everything from 2^46 ns up. This is the layout the report's
+    /// golden `Debug` capture and
+    /// [`PerfReport::p99_latency`](crate::PerfReport::p99_latency) show.
+    pub(crate) struct Pow2View<'a> {
+        hist: &'a LatencyHistogram,
+        buckets: [u64; BUCKETS],
+    }
+
+    impl LatencyHistogram {
+        /// This histogram in the power-of-two layout. The derivation is
+        /// exact: every value in a log-linear bucket has the bit length of
+        /// the bucket's lower bound (octave k >= 1 holds
+        /// `[2^(k+4), 2^(k+5))`, octave 0 single values), and the bit
+        /// length is the power-of-two bucket.
+        pub(crate) fn pow2(&self) -> Pow2View<'_> {
+            let mut buckets = [0u64; BUCKETS];
+            for (i, &n) in self.buckets.iter().enumerate() {
+                let bit_length = (u64::BITS - Self::lower_bound(i).leading_zeros()) as usize;
+                buckets[bit_length.min(BUCKETS - 1)] += n;
+            }
+            Pow2View {
+                hist: self,
+                buckets,
+            }
+        }
+    }
+
+    impl Pow2View<'_> {
+        /// Latency at percentile `p` (`0.0..=100.0`), resolved to the upper
+        /// bound of the power-of-two bucket holding that rank and clamped
+        /// to the observed maximum. Zero when empty.
+        pub(crate) fn percentile(&self, p: f64) -> SimTime {
+            let count = self.hist.count;
+            if count == 0 {
+                return SimTime::ZERO;
+            }
+            let rank = ((p / 100.0) * count as f64).ceil().max(1.0) as u64;
+            let mut seen = 0;
+            for (i, n) in self.buckets.iter().enumerate() {
+                seen += n;
+                if seen >= rank {
+                    let upper_ns = if i == 0 { 1 } else { 1u64 << i };
+                    return SimTime::from_ns(upper_ns.min(self.hist.max_ns.max(1)));
+                }
+            }
+            self.hist.max()
+        }
+    }
+
+    impl fmt::Debug for Pow2View<'_> {
+        /// The golden capture format: the bucket array and the raw running
+        /// statistics, field for field.
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.debug_struct("LatencyHistogram")
+                .field("buckets", &self.buckets)
+                .field("count", &self.hist.count)
+                .field("sum_ns", &self.hist.sum_ns)
+                .field("min_ns", &self.hist.min_ns)
+                .field("max_ns", &self.hist.max_ns)
+                .finish()
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::LatencyHistogram;
+        use proptest::prelude::*;
+        use ssdx_sim::SimTime;
+
+        /// The power-of-two histogram reports used to record into, kept
+        /// here only as the oracle the derived view must reproduce: same
+        /// layout, same derived `Debug`, same bucketing, mean and
+        /// percentile.
+        mod legacy {
+            use ssdx_sim::SimTime;
+
+            #[derive(Debug)]
+            pub(super) struct LatencyHistogram {
+                buckets: Vec<u64>,
+                count: u64,
+                sum_ns: u128,
+                min_ns: u64,
+                max_ns: u64,
+            }
+
+            const BUCKETS: usize = 48;
+
+            impl LatencyHistogram {
+                pub(super) fn new() -> Self {
+                    LatencyHistogram {
+                        buckets: vec![0; BUCKETS],
+                        count: 0,
+                        sum_ns: 0,
+                        min_ns: u64::MAX,
+                        max_ns: 0,
+                    }
+                }
+
+                pub(super) fn record(&mut self, latency: SimTime) {
+                    let ns = latency.as_ns();
+                    let bucket = if ns == 0 {
+                        0
+                    } else {
+                        (64 - ns.leading_zeros() as usize).min(BUCKETS - 1)
+                    };
+                    self.buckets[bucket] += 1;
+                    self.count += 1;
+                    self.sum_ns += ns as u128;
+                    self.min_ns = self.min_ns.min(ns);
+                    self.max_ns = self.max_ns.max(ns);
+                }
+
+                pub(super) fn mean(&self) -> SimTime {
+                    if self.count == 0 {
+                        return SimTime::ZERO;
+                    }
+                    SimTime::from_ns((self.sum_ns / self.count as u128) as u64)
+                }
+
+                pub(super) fn percentile(&self, p: f64) -> SimTime {
+                    if self.count == 0 {
+                        return SimTime::ZERO;
+                    }
+                    let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+                    let mut seen = 0;
+                    for (i, n) in self.buckets.iter().enumerate() {
+                        seen += n;
+                        if seen >= rank {
+                            let upper_ns = if i == 0 { 1 } else { 1u64 << i };
+                            return SimTime::from_ns(upper_ns.min(self.max_ns.max(1)));
+                        }
+                    }
+                    SimTime::from_ns(self.max_ns)
+                }
+            }
+        }
+
+        /// Samples at every edge of the derivation: zero, the exact
+        /// octave-0 values, both sides of each power of two, the last
+        /// power-of-two bucket from 2^46 ns up, and the whole `SimTime`
+        /// nanosecond range.
+        fn sample() -> impl Strategy<Value = u64> {
+            let max_ns = SimTime::MAX.as_ns();
+            prop_oneof![
+                Just(0u64),
+                1u64..32,
+                (1u32..55, 0u64..3).prop_map(|(k, d)| (1u64 << k) - 1 + d),
+                (1u64 << 46)..=max_ns,
+                0u64..=max_ns,
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn derived_view_matches_the_legacy_histogram(
+                samples in prop::collection::vec(sample(), 0..200)
+            ) {
+                let mut hist = LatencyHistogram::new();
+                let mut oracle = legacy::LatencyHistogram::new();
+                for &ns in &samples {
+                    hist.record(SimTime::from_ns(ns));
+                    oracle.record(SimTime::from_ns(ns));
+                }
+                let view = hist.pow2();
+                prop_assert_eq!(format!("{view:?}"), format!("{oracle:?}"));
+                prop_assert_eq!(hist.mean(), oracle.mean());
+                for p in [0.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+                    prop_assert_eq!(view.percentile(p), oracle.percentile(p), "p{}", p);
+                }
+            }
+        }
+    }
+}
+
 /// The class of a host command, as aggregated by [`ClassHistograms`].
 ///
 /// # Example
@@ -474,9 +662,10 @@ impl Default for ClassHistograms {
 ///
 /// The transient while caches fill and queues ramp up is not what a fleet's
 /// p99 means; trimming it is standard benchmarking practice (and what the
-/// `experiments -- tails` driver does). The cutoff never affects the legacy
+/// `experiments -- tails` driver does). The cutoff never affects the
 /// whole-run [`PerfReport::latency`](crate::PerfReport::latency) histogram,
-/// so existing report fields stay byte-identical.
+/// which merges the trimmed warmup back in, so existing report fields stay
+/// byte-identical.
 ///
 /// # Example
 ///
@@ -908,7 +1097,6 @@ mod tests {
     fn tail_table_rendering_is_pinned() {
         use crate::explorer::{AxisValue, SweepPoint};
         use crate::report::{PerfReport, UtilizationBreakdown};
-        use ssdx_sim::stats::LatencyHistogram as LegacyHistogram;
 
         let mut classes = ClassHistograms::new();
         for us in [100u64, 200, 300, 400] {
@@ -928,7 +1116,7 @@ mod tests {
             waf: 1.0,
             nand_page_programs: 2,
             nand_page_reads: 8,
-            latency: LegacyHistogram::new(),
+            latency: Box::new(classes.total()),
             utilization: UtilizationBreakdown::default(),
             class_latency: Box::new(classes),
         };

@@ -1,8 +1,7 @@
 //! Performance reports: the per-component breakdown the paper's figures are
 //! built from, extended with per-command-class tail-latency histograms.
 
-use crate::metrics::{ClassHistograms, CommandClass, TailSummary};
-use ssdx_sim::stats::LatencyHistogram;
+use crate::metrics::{ClassHistograms, CommandClass, LatencyHistogram, TailSummary};
 use ssdx_sim::SimTime;
 use std::fmt;
 
@@ -51,11 +50,12 @@ pub struct PerfReport {
     pub nand_page_programs: u64,
     /// Physical NAND page reads issued.
     pub nand_page_reads: u64,
-    /// End-to-end command latency distribution over the whole run — the
-    /// legacy [`ssdx_sim::stats::LatencyHistogram`] (power-of-two buckets,
-    /// part of the golden capture format), distinct from the metrics
-    /// histograms in [`class_latency`](Self::class_latency).
-    pub latency: LatencyHistogram,
+    /// End-to-end command latency distribution over the whole run, warmup
+    /// included: the [`class_latency`](Self::class_latency) classes merged
+    /// with the completions the session's
+    /// [`SteadyStateCutoff`](crate::SteadyStateCutoff) left out of them.
+    /// Boxed like `class_latency`.
+    pub latency: Box<LatencyHistogram>,
     /// Per-component utilization.
     pub utilization: UtilizationBreakdown,
     /// Steady-state latency histograms per command class (read / write /
@@ -72,9 +72,10 @@ impl fmt::Debug for PerfReport {
     /// The `Debug` rendering is the golden-equivalence capture format: it
     /// pins exactly the pre-metrics field set, character for character
     /// (`tests/golden/perf_reports.txt` compares it byte-for-byte across
-    /// every subsystem corner). The tail-latency extension renders through
-    /// [`tails`](Self::tails) and `Display` instead, so growing the report
-    /// never invalidates the capture.
+    /// every subsystem corner), with `latency` in its power-of-two view. The
+    /// tail-latency extension renders through [`tails`](Self::tails) and
+    /// `Display` instead, so growing the report never invalidates the
+    /// capture.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PerfReport")
             .field("config_name", &self.config_name)
@@ -89,7 +90,7 @@ impl fmt::Debug for PerfReport {
             .field("waf", &self.waf)
             .field("nand_page_programs", &self.nand_page_programs)
             .field("nand_page_reads", &self.nand_page_reads)
-            .field("latency", &self.latency)
+            .field("latency", &self.latency.pow2())
             .field("utilization", &self.utilization)
             .finish()
     }
@@ -101,9 +102,10 @@ impl PerfReport {
         self.latency.mean()
     }
 
-    /// Approximate 99th-percentile command latency.
+    /// Approximate 99th-percentile command latency, resolved to the upper
+    /// bound of its power-of-two bucket.
     pub fn p99_latency(&self) -> SimTime {
-        self.latency.percentile(99.0)
+        self.latency.pow2().percentile(99.0)
     }
 
     /// Steady-state percentile digest of one command class.
@@ -203,9 +205,6 @@ mod tests {
     use super::*;
 
     fn report() -> PerfReport {
-        let mut latency = LatencyHistogram::new();
-        latency.record(SimTime::from_us(100));
-        latency.record(SimTime::from_us(300));
         let mut class_latency = ClassHistograms::new();
         class_latency.record(ssdx_hostif::HostOp::Write, SimTime::from_us(100));
         class_latency.record(ssdx_hostif::HostOp::Write, SimTime::from_us(300));
@@ -222,7 +221,7 @@ mod tests {
             waf: 1.0,
             nand_page_programs: 4,
             nand_page_reads: 0,
-            latency,
+            latency: Box::new(class_latency.total()),
             utilization: UtilizationBreakdown {
                 host_link: 0.5,
                 dram: 0.1,

@@ -32,7 +32,7 @@
 //! ```
 
 use crate::config::{CachePolicy, FtlMode};
-use crate::metrics::{ClassHistograms, SteadyStateCutoff};
+use crate::metrics::{ClassHistograms, LatencyHistogram, SteadyStateCutoff};
 use crate::report::{PerfReport, UtilizationBreakdown};
 use crate::snapshot::{self, Snapshot};
 use crate::ssd::Ssd;
@@ -42,7 +42,6 @@ use ssdx_ftl::{PageMappedFtl, WorkloadMix};
 use ssdx_hostif::{CommandSource, HostCommand, HostOp};
 use ssdx_nand::NandOp;
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
-use ssdx_sim::stats::LatencyHistogram;
 use ssdx_sim::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -268,7 +267,7 @@ mod storage {
 /// [`Ssd::simulate`] when driven straight to [`finish`](SimSession::finish)
 /// — stepping produces byte-identical reports, which the integration suite
 /// asserts. The session holds the per-run pipeline state (protocol window,
-/// DRAM back-pressure ledger, WAF carry, latency histogram, optional
+/// DRAM back-pressure ledger, WAF carry, latency histograms, optional
 /// page-mapped FTL), while the platform holds the component models.
 ///
 /// # Borrowed and owned sessions
@@ -310,8 +309,11 @@ pub struct SimSession<'a> {
     in_flight: BinaryHeap<Reverse<(SimTime, u64)>>,
     in_flight_bytes: u64,
     waf_carry: f64,
-    latency: LatencyHistogram,
+    /// Completions the steady-state cutoff admits, per command class.
     classes: ClassHistograms,
+    /// Every other completion. `classes` and `warmup` together hold each
+    /// completion exactly once.
+    warmup: LatencyHistogram,
     steady_state: SteadyStateCutoff,
     total_bytes: u64,
     last_completion: SimTime,
@@ -403,8 +405,8 @@ impl<'a> SimSession<'a> {
             in_flight,
             in_flight_bytes: 0,
             waf_carry: 0.0,
-            latency: LatencyHistogram::new(),
             classes: ClassHistograms::new(),
+            warmup: LatencyHistogram::new(),
             steady_state: SteadyStateCutoff::None,
             total_bytes: 0,
             last_completion: SimTime::ZERO,
@@ -432,10 +434,9 @@ impl<'a> SimSession<'a> {
     /// excluded from [`tail_latency`](Self::tail_latency) and the report's
     /// [`class_latency`](crate::PerfReport::class_latency).
     ///
-    /// The cutoff never touches the whole-run
-    /// [`latency`](crate::PerfReport::latency) histogram, so every
-    /// pre-existing report field stays byte-identical regardless of the
-    /// configured warmup.
+    /// The whole-run [`latency`](crate::PerfReport::latency) histogram
+    /// merges the warmup back in, so every pre-existing report field stays
+    /// byte-identical regardless of the configured warmup.
     pub fn steady_state(&mut self, cutoff: SteadyStateCutoff) {
         self.steady_state = cutoff;
     }
@@ -485,7 +486,7 @@ impl<'a> SimSession<'a> {
             commands_completed: self.cursor as u64,
             commands_remaining: self.remaining(),
             outstanding: self.window.len(),
-            mean_latency: self.latency.mean(),
+            mean_latency: self.whole_run_latency().mean(),
             bytes: self.total_bytes,
             utilization: self.ssd.utilization_snapshot(horizon),
         }
@@ -527,8 +528,8 @@ impl<'a> SimSession<'a> {
             enc.put_u64(bytes);
         }
         enc.put_f64(self.waf_carry);
-        self.latency.encode_state(&mut enc);
         self.classes.encode_state(&mut enc);
+        self.warmup.encode_state(&mut enc);
         match self.steady_state {
             SteadyStateCutoff::None => enc.put_u8(0),
             SteadyStateCutoff::Commands(n) => {
@@ -606,8 +607,8 @@ impl<'a> SimSession<'a> {
             in_flight: self.in_flight.clone(),
             in_flight_bytes: self.in_flight_bytes,
             waf_carry: self.waf_carry,
-            latency: self.latency.clone(),
             classes: self.classes,
+            warmup: self.warmup,
             steady_state: self.steady_state,
             total_bytes: self.total_bytes,
             last_completion: self.last_completion,
@@ -653,8 +654,8 @@ impl<'a> SimSession<'a> {
             self.in_flight.push(Reverse(entry));
         }
         self.waf_carry = dec.get_f64()?;
-        self.latency.decode_state(&mut dec)?;
         self.classes.decode_state(&mut dec)?;
+        self.warmup.decode_state(&mut dec)?;
         self.steady_state = match dec.get_u8()? {
             0 => SteadyStateCutoff::None,
             1 => SteadyStateCutoff::Commands(dec.get_u64()?),
@@ -692,11 +693,11 @@ impl<'a> SimSession<'a> {
         }
 
         self.window.push(Reverse(completed_at));
-        self.latency
-            .record(completed_at.saturating_sub(admitted_at));
+        let latency = completed_at.saturating_sub(admitted_at);
         if self.steady_state.admits(index, completed_at) {
-            self.classes
-                .record(cmd.op, completed_at.saturating_sub(admitted_at));
+            self.classes.record(cmd.op, latency);
+        } else {
+            self.warmup.record(latency);
         }
         if cmd.op != HostOp::Trim {
             self.total_bytes += cmd.bytes as u64;
@@ -769,20 +770,27 @@ impl<'a> SimSession<'a> {
             Some(f) => f.stats().waf(),
             None => self.waf,
         };
-        let latency = std::mem::take(&mut self.latency);
         let report = self.ssd.build_report(
             &self.label,
             self.commands.len() as u64,
             self.total_bytes,
             self.last_completion,
             reported_waf,
-            latency,
+            self.whole_run_latency(),
             self.classes,
         );
         for probe in &mut self.probes {
             probe.on_finish(&report);
         }
         report
+    }
+
+    /// Every completion so far: the steady-state classes merged with the
+    /// warmup.
+    fn whole_run_latency(&self) -> LatencyHistogram {
+        let mut latency = self.classes.total();
+        latency.merge(&self.warmup);
+        latency
     }
 
     /// Pushes one command through the pipeline, returning its admission and
@@ -1159,7 +1167,7 @@ mod tests {
         assert_eq!(write.count, 96);
         assert_eq!(report.tail(CommandClass::Read).count, 0);
         assert!(write.p50 <= write.p99 && write.p99 <= write.p999);
-        // The legacy whole-run histogram still counts everything.
+        // The whole-run histogram still counts everything, warmup included.
         assert_eq!(report.latency.count(), 128);
 
         // A CompletionLog digests the same records to the same histograms.

@@ -23,7 +23,7 @@
 //! | platform signature | channels, ways, dies/way, DRAM buffers, CPU cores, seed |
 //! | platform state | [`Ssd`] state in the audited `encode_state` order |
 //! | session flag | `bool`: whether session state follows |
-//! | session state | cursor, queues, histograms, cutoff, optional FTL |
+//! | session state | cursor, queues, steady-state class and warmup histograms, cutoff, optional FTL |
 //!
 //! The platform signature binds an image to the topology and seed it was
 //! captured from: restoring onto a mismatched platform fails cleanly
@@ -38,8 +38,9 @@
 //! Any change to the byte layout — field order, a new field, a different
 //! sentinel shift — must bump [`SNAPSHOT_VERSION`]. Old images then fail
 //! with a version error instead of decoding to silently-wrong state; the
-//! committed golden fixture `tests/golden/snapshot_v1.bin` turns a
-//! forgotten bump into a test failure.
+//! committed golden fixture `tests/golden/snapshot_v2.bin` turns a
+//! forgotten bump into a test failure, and the retired
+//! `tests/golden/snapshot_v1.bin` pins that a version-1 image is refused.
 //!
 //! # Determinism
 //!
@@ -57,7 +58,7 @@ use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SSDX";
 
 /// Current snapshot format version. Bump on any byte-layout change.
-pub const SNAPSHOT_VERSION: u8 = 1;
+pub const SNAPSHOT_VERSION: u8 = 2;
 
 /// A validated, versioned binary image of device (and optionally session)
 /// state.
@@ -227,9 +228,8 @@ pub struct StateInventoryEntry {
 pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
     StateInventoryEntry {
         crate_name: "ssdx-sim",
-        carrier: Some("Resource / RoundRobinArbiter / SimRng / LatencyHistogram"),
-        notes: "busy windows, utilization ledgers, arbiter pointers, RNG streams, \
-                latency buckets",
+        carrier: Some("Resource / SimRng"),
+        notes: "busy windows and accumulated busy time, RNG streams",
     },
     StateInventoryEntry {
         crate_name: "ssdx-nand",
@@ -246,7 +246,7 @@ pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
     StateInventoryEntry {
         crate_name: "ssdx-interconnect",
         carrier: Some("AhbBus"),
-        notes: "bus resource, arbiter rotation, per-master stats, wait states",
+        notes: "bus resource, per-master stats, wait states",
     },
     StateInventoryEntry {
         crate_name: "ssdx-cpu",
@@ -284,10 +284,11 @@ pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
     },
     StateInventoryEntry {
         crate_name: "ssdx-core",
-        carrier: Some("Ssd / SimSession / PageAllocator / ClassHistograms"),
+        carrier: Some("Ssd / SimSession / PageAllocator / ClassHistograms / LatencyHistogram"),
         notes: "platform assembly, allocator cursors, in-flight session \
-                state; the fault schedule is config and its power-loss \
-                trigger keys on the encoded command cursor",
+                state with its steady-state and warmup latency buckets; the \
+                fault schedule is config and its power-loss trigger keys on \
+                the encoded command cursor",
     },
     StateInventoryEntry {
         crate_name: "ssdx-bench",

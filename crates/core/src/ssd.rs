@@ -24,7 +24,7 @@
 
 use crate::config::{ConfigError, SsdConfig};
 use crate::layout::{PageAllocator, PageTarget};
-use crate::metrics::ClassHistograms;
+use crate::metrics::{ClassHistograms, LatencyHistogram};
 use crate::report::{PerfReport, UtilizationBreakdown};
 use crate::session::{Platform, SimSession, Stream};
 use ssdx_channel::{ChannelConfig, ChannelController};
@@ -35,7 +35,6 @@ use ssdx_hostif::{CommandSource, HostInterface, HostOp, Workload};
 use ssdx_interconnect::{AhbBus, AhbConfig};
 use ssdx_nand::{NandOp, OnfiBus};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
-use ssdx_sim::stats::LatencyHistogram;
 use ssdx_sim::{Resource, SimTime};
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -531,7 +530,7 @@ impl Ssd {
             waf,
             nand_page_programs: programs,
             nand_page_reads: reads,
-            latency,
+            latency: Box::new(latency),
             utilization: self.utilization_snapshot(horizon),
             class_latency: Box::new(class_latency),
         }

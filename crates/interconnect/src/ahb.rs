@@ -1,7 +1,7 @@
 //! Single-layer AMBA AHB bus.
 
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
-use ssdx_sim::{Frequency, Resource, RoundRobinArbiter, SimTime};
+use ssdx_sim::{Frequency, Resource, SimTime};
 use std::fmt;
 
 /// Static configuration of an AHB bus instance.
@@ -19,13 +19,18 @@ pub struct AhbConfig {
     pub max_burst_beats: u32,
     /// Default wait states inserted by slaves per data beat.
     pub default_wait_states: u32,
-    /// Cycles lost to arbitration when the bus changes owner.
+    /// Arbitration cycles charged at the start of every burst.
     pub arbitration_cycles: u32,
 }
 
 impl AhbConfig {
     /// The configuration used by the paper: AMBA AHB 2.0 at 200 MHz, 32-bit
-    /// data, 16 masters and 16 slaves, round-robin arbitration, INCR16 bursts.
+    /// data, 16 masters and 16 slaves, INCR16 bursts.
+    ///
+    /// The bus is one [`Resource`]: it grants transfers in the order they
+    /// are reserved, and there is no round-robin arbiter. Arbitration is
+    /// modelled only as its cost, [`arbitration_cycles`](Self::arbitration_cycles)
+    /// per burst.
     pub fn paper_default() -> Self {
         AhbConfig {
             clock: Frequency::from_mhz(200),
@@ -120,7 +125,7 @@ impl BurstKind {
 /// Timing of one completed bus transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
-    /// When the first burst of this transfer won arbitration.
+    /// When the bus started serving this transfer.
     pub start: SimTime,
     /// When the last data beat completed.
     pub end: SimTime,
@@ -148,7 +153,6 @@ pub struct BusStats {
 pub struct AhbBus {
     config: AhbConfig,
     bus: Resource,
-    arbiter: RoundRobinArbiter,
     per_master: Vec<BusStats>,
     slave_wait_states: Vec<u32>,
 }
@@ -165,7 +169,6 @@ impl AhbBus {
         AhbBus {
             config,
             bus: Resource::new("ahb"),
-            arbiter: RoundRobinArbiter::new(config.masters as usize),
             per_master: vec![BusStats::default(); config.masters as usize],
             slave_wait_states: vec![config.default_wait_states; config.slaves as usize],
         }
@@ -215,6 +218,13 @@ impl AhbBus {
     /// Number of cycles a transfer of `bytes` bytes to `slave` occupies,
     /// including arbitration, address phases and wait states.
     pub fn transfer_cycles(&self, slave: u32, bytes: u32) -> u64 {
+        let (_, _, cycles) = self.split(slave, bytes);
+        cycles
+    }
+
+    /// Splits a transfer of `bytes` bytes to `slave` into INCR16/8/4 and
+    /// single bursts, returning its `(beats, bursts, cycles)`.
+    fn split(&self, slave: u32, bytes: u32) -> (u32, u32, u64) {
         let beats_total = bytes.div_ceil(self.config.data_width_bytes).max(1);
         let wait = self
             .slave_wait_states
@@ -222,6 +232,7 @@ impl AhbBus {
             .copied()
             .unwrap_or(self.config.default_wait_states) as u64;
         let mut remaining = beats_total;
+        let mut bursts = 0;
         let mut cycles = 0u64;
         while remaining > 0 {
             let kind = BurstKind::largest_fitting(remaining.min(self.config.max_burst_beats));
@@ -230,15 +241,16 @@ impl AhbBus {
             // address phases of following beats (pipelined), wait states add
             // per-beat stalls.
             cycles += self.config.arbitration_cycles as u64 + 1 + beats as u64 * (1 + wait);
+            bursts += 1;
             remaining -= beats;
         }
-        cycles
+        (beats_total, bursts, cycles)
     }
 
     /// Performs a transfer of `bytes` bytes from `master` to `slave`,
-    /// starting no earlier than `at`. The bus is granted burst by burst but
-    /// the whole transfer is accounted as one ownership window (AHB masters
-    /// hold the bus for their queued bursts under round-robin fairness).
+    /// starting no earlier than `at`. Every burst pays its arbitration
+    /// cycles, but the whole transfer is booked as one ownership window:
+    /// the master holds the bus for all of its bursts.
     ///
     /// # Panics
     ///
@@ -265,16 +277,10 @@ impl AhbBus {
         if master >= self.config.masters || slave >= self.config.slaves {
             return Err(AhbError::PortOutOfRange);
         }
-        // Record the requesting master with the arbiter so grant history (and
-        // therefore fairness counters) reflect actual traffic.
-        let _ = self.arbiter.grant_among(&[master as usize]);
-
-        let beats_total = bytes.div_ceil(self.config.data_width_bytes).max(1);
-        let cycles = self.transfer_cycles(slave, bytes);
+        let (beats, bursts, cycles) = self.split(slave, bytes);
         let duration = self.config.clock.cycles_to_time(cycles);
         let grant = self.bus.reserve(at, duration);
 
-        let bursts = beats_total.div_ceil(self.config.max_burst_beats);
         let stats = &mut self.per_master[master as usize];
         stats.transfers += 1;
         stats.bytes += bytes as u64;
@@ -284,7 +290,7 @@ impl AhbBus {
             start: grant.start,
             end: grant.end,
             bursts,
-            beats: beats_total,
+            beats,
             cycles,
         })
     }
@@ -297,14 +303,13 @@ impl AhbBus {
     /// Resets dynamic state and statistics.
     pub fn reset(&mut self) {
         self.bus.reset();
-        self.arbiter.reset();
         for s in &mut self.per_master {
             *s = BusStats::default();
         }
     }
 
     /// Encodes the bus's mutable state, in stable field order: the bus
-    /// resource, the round-robin arbiter, per-master statistics
+    /// resource, per-master statistics
     /// (construction-fixed count, no length prefix; transfers, bytes,
     /// ownership each), then the per-slave wait-state overrides. Wait states
     /// are runtime-mutable via
@@ -312,7 +317,6 @@ impl AhbBus {
     /// snapshot state even though they usually hold the configured default.
     pub fn encode_state(&self, enc: &mut Encoder) {
         self.bus.encode_state(enc);
-        self.arbiter.encode_state(enc);
         for s in &self.per_master {
             enc.put_u64(s.transfers);
             enc.put_u64(s.bytes);
@@ -331,7 +335,6 @@ impl AhbBus {
     /// Returns a [`DecodeError`] on truncated or malformed input.
     pub fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
         self.bus.decode_state(dec)?;
-        self.arbiter.decode_state(dec)?;
         for s in &mut self.per_master {
             s.transfers = dec.get_u64()?;
             s.bytes = dec.get_u64()?;
@@ -374,6 +377,26 @@ mod tests {
         // 4096/4 = 1024 beats, 64 bursts of 16 beats: 64*(1+1+16) = 1152.
         assert_eq!(large, 64 * (1 + 1 + 16));
         assert!(large > small * 100);
+    }
+
+    #[test]
+    fn bursts_count_the_incr_split_the_cycles_charge() {
+        let mut bus = AhbBus::new(AhbConfig::default());
+        // (bytes, bursts): 7 beats = INCR4 + 3 singles, 12 = INCR8 + INCR4,
+        // 17 = INCR16 + single, 32 = 2 x INCR16, 1024 = 64 x INCR16.
+        for (bytes, bursts) in [(28, 4), (48, 2), (68, 2), (128, 2), (4096, 64)] {
+            let t = bus.transfer(SimTime::ZERO, 0, 0, bytes);
+            assert_eq!(t.bursts, bursts, "{bytes} bytes");
+            assert_eq!(t.beats, bytes.div_ceil(4), "{bytes} bytes");
+            // Each burst pays one arbitration and one address cycle; each
+            // beat one data cycle.
+            assert_eq!(
+                t.cycles,
+                2 * bursts as u64 + t.beats as u64,
+                "{bytes} bytes"
+            );
+            assert_eq!(t.cycles, bus.transfer_cycles(0, bytes), "{bytes} bytes");
+        }
     }
 
     #[test]

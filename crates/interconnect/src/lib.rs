@@ -3,10 +3,11 @@
 //! SSDExplorer keeps the system interconnect at RTL-equivalent accuracy
 //! because arbitration, burst formation and wait states directly shape the
 //! internal transfer rates of the SSD. This crate models an AMBA AHB v2.0
-//! bus with 16 master and 16 slave ports, a round-robin arbiter, INCR burst
-//! transfers and split-transaction support (modelled as re-arbitration
-//! instead of bus stalling), plus the Multi-Layer AHB variant the paper
-//! mentions as a possible evolution.
+//! bus with 16 master and 16 slave ports: each transfer is split into
+//! INCR16/8/4 and single bursts, every burst pays its arbitration and
+//! address cycles, slaves may add wait states, and the bus grants transfers
+//! in the order they are reserved. The Multi-Layer AHB variant the paper
+//! mentions as a possible evolution is provided too.
 //!
 //! # Example
 //!

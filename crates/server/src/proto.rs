@@ -21,15 +21,14 @@
 //!   which case a [`Telemetry::Dropped`] marker reports the gap.
 
 use ssdx_core::{
-    ClassHistograms, CommandClass, CommandRecord, PerfReport, SessionSnapshot, TailSummary,
-    UtilizationBreakdown,
+    ClassHistograms, CommandClass, CommandRecord, LatencyHistogram, PerfReport, SessionSnapshot,
+    TailSummary, UtilizationBreakdown,
 };
 use ssdx_hostif::{
     AccessPattern, BurstyWorkload, CommandSource, HostCommand, HostOp, MixedSizeWorkload,
     RmwWorkload, Workload, ZipfianWorkload,
 };
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
-use ssdx_sim::stats::LatencyHistogram;
 use ssdx_sim::SimTime;
 
 /// Protocol revision spoken by this build.
@@ -38,7 +37,7 @@ use ssdx_sim::SimTime;
 /// version; the server answers [`Response::HelloAck`] only on an exact
 /// match and [`ErrorCode::VersionMismatch`] otherwise. Any change to a
 /// message layout bumps this constant.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Error codes
@@ -1252,7 +1251,7 @@ fn get_report(dec: &mut Decoder<'_>) -> Result<PerfReport, DecodeError> {
     let waf = dec.get_f64()?;
     let nand_page_programs = dec.get_u64()?;
     let nand_page_reads = dec.get_u64()?;
-    let mut latency = LatencyHistogram::new();
+    let mut latency = Box::new(LatencyHistogram::new());
     latency.decode_state(dec)?;
     let utilization = get_utilization(dec)?;
     let mut class_latency = Box::new(ClassHistograms::new());

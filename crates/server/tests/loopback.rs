@@ -6,6 +6,7 @@
 //! target with zero control-message loss.
 
 use proptest::prelude::*;
+use ssdx_core::PerfReport;
 use ssdx_hostif::AccessPattern;
 use ssdx_server::{
     Client, ClientError, ErrorCode, LoadgenConfig, Server, ServerConfig, Telemetry, WorkloadSpec,
@@ -43,11 +44,19 @@ fn test_spec() -> WorkloadSpec {
 
 /// The same config + spec run entirely in-process, for byte-identity
 /// comparisons against server-side runs.
-fn in_process_report() -> ssdx_core::PerfReport {
+fn in_process_report() -> PerfReport {
     let config = ssdx_core::SsdConfig::from_text(&test_config_text()).expect("round-trip config");
     let source = test_spec().build().expect("valid test spec");
     let mut ssd = ssdx_core::Ssd::try_new(config).expect("valid test device");
     ssd.simulate(source.as_ref())
+}
+
+/// Asserts two reports are identical: the golden `Debug` rendering, and
+/// both histograms in full (`Debug` leaves `class_latency` out).
+fn assert_same_report(actual: &PerfReport, expected: &PerfReport, what: &str) {
+    assert_eq!(format!("{actual:?}"), format!("{expected:?}"), "{what}");
+    assert_eq!(actual.latency, expected.latency, "{what}");
+    assert_eq!(actual.class_latency, expected.class_latency, "{what}");
 }
 
 /// The in-process snapshot image of the same run after `completed`
@@ -71,10 +80,10 @@ fn remote_report_is_byte_identical_to_in_process() {
         .create_session(&test_config_text(), &test_spec())
         .expect("create");
     let remote = client.fetch_report(session).expect("fetch report");
-    assert_eq!(
-        format!("{remote:?}"),
-        format!("{:?}", in_process_report()),
-        "remote report must be byte-identical to the in-process run"
+    assert_same_report(
+        &remote,
+        &in_process_report(),
+        "remote report must be byte-identical to the in-process run",
     );
     client.close_session(session).expect("close");
     client.shutdown_server().expect("shutdown");
@@ -98,10 +107,10 @@ fn slicing_a_run_into_steps_does_not_change_the_report() {
     assert!(p.completed >= 17);
     client.step(session, 3).expect("step");
     let remote = client.fetch_report(session).expect("fetch report");
-    assert_eq!(
-        format!("{remote:?}"),
-        format!("{:?}", in_process_report()),
-        "stepping must not perturb the final report"
+    assert_same_report(
+        &remote,
+        &in_process_report(),
+        "stepping must not perturb the final report",
     );
     client.shutdown_server().expect("shutdown");
     server.wait().expect("clean exit");
@@ -119,10 +128,10 @@ fn a_fork_reports_identically_to_its_parent() {
     assert_ne!(parent, child);
     let parent_report = client.fetch_report(parent).expect("parent report");
     let child_report = client.fetch_report(child).expect("child report");
-    assert_eq!(
-        format!("{parent_report:?}"),
-        format!("{child_report:?}"),
-        "a fork must finish exactly like its parent"
+    assert_same_report(
+        &child_report,
+        &parent_report,
+        "a fork must finish exactly like its parent",
     );
     client.shutdown_server().expect("shutdown");
     server.wait().expect("clean exit");
@@ -132,7 +141,7 @@ fn a_fork_reports_identically_to_its_parent() {
 fn stepping_one_side_of_a_fork_never_moves_the_other() {
     let server = ephemeral_server();
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let reference = format!("{:?}", in_process_report());
+    let reference = in_process_report();
     let parent = client
         .create_session(&test_config_text(), &test_spec())
         .expect("create");
@@ -143,8 +152,8 @@ fn stepping_one_side_of_a_fork_never_moves_the_other() {
     let child_before = client.fetch_report(child).expect("child report");
     assert_eq!(client.step(parent, 100).expect("step").completed, 140);
     let child_after = client.fetch_report(child).expect("child report");
-    assert_eq!(format!("{child_before:?}"), reference);
-    assert_eq!(format!("{child_after:?}"), reference);
+    assert_same_report(&child_before, &reference, "child before the parent moves");
+    assert_same_report(&child_after, &reference, "child after the parent moves");
     assert_eq!(client.step(child, 0).expect("probe").completed, 40);
 
     // The reverse: the child runs to the end; the parent stays put.
@@ -152,8 +161,8 @@ fn stepping_one_side_of_a_fork_never_moves_the_other() {
     let p = client.step(child, 1_000).expect("step the child out");
     assert_eq!((p.completed, p.remaining), (256, 0));
     let parent_after = client.fetch_report(parent).expect("parent report");
-    assert_eq!(format!("{parent_before:?}"), reference);
-    assert_eq!(format!("{parent_after:?}"), reference);
+    assert_same_report(&parent_before, &reference, "parent before the child moves");
+    assert_same_report(&parent_after, &reference, "parent after the child moves");
     assert_eq!(client.step(parent, 0).expect("probe").completed, 140);
 
     client.shutdown_server().expect("shutdown");
@@ -174,7 +183,7 @@ proptest! {
     ) {
         let server = ephemeral_server();
         let mut client = Client::connect(server.local_addr()).expect("connect");
-        let reference = format!("{:?}", in_process_report());
+        let reference = in_process_report();
         let first = client
             .create_session(&test_config_text(), &test_spec())
             .expect("create");
@@ -196,7 +205,7 @@ proptest! {
                 }
                 2 => {
                     let report = client.fetch_report(id).expect("report");
-                    prop_assert_eq!(format!("{report:?}"), reference.clone());
+                    assert_same_report(&report, &reference, "mid-run report");
                 }
                 _ => {
                     let child = client.fork(id).expect("fork");
@@ -209,7 +218,7 @@ proptest! {
         }
         for (id, _) in sessions {
             let report = client.fetch_report(id).expect("final report");
-            prop_assert_eq!(format!("{report:?}"), reference.clone());
+            assert_same_report(&report, &reference, "final report");
             client.close_session(id).expect("close");
         }
         client.shutdown_server().expect("shutdown");

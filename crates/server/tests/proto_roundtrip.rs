@@ -90,7 +90,9 @@ fn all_requests() -> Vec<Request> {
 }
 
 /// A real report from a tiny run, so the report codec sees live
-/// histograms rather than zeroed ones.
+/// histograms rather than zeroed ones. A command-count cutoff splits the
+/// completions between the steady-state classes and the warmup, so neither
+/// half is empty.
 fn tiny_report() -> ssdx_core::PerfReport {
     let config = ssdx_core::SsdConfig::builder("proto-roundtrip")
         .topology(1, 1, 1)
@@ -103,7 +105,25 @@ fn tiny_report() -> ssdx_core::PerfReport {
         .seed(5)
         .build();
     let mut ssd = ssdx_core::Ssd::try_new(config).expect("valid test device");
-    ssd.simulate(&workload)
+    let mut session = ssd.session(&workload);
+    session.steady_state(ssdx_core::SteadyStateCutoff::Commands(16));
+    let report = session.finish();
+    let steady = report.class_latency.count();
+    assert!(steady > 0 && steady < report.latency.count());
+    report
+}
+
+/// Asserts two responses are identical. `PerfReport` has no `PartialEq`
+/// and its `Debug` (the golden byte-identity surface) leaves
+/// `class_latency` out, so reports also compare both histograms directly.
+fn assert_same_response(actual: &Response, expected: &Response) {
+    assert_eq!(format!("{actual:?}"), format!("{expected:?}"));
+    if let (Response::Report { report: a, .. }, Response::Report { report: b, .. }) =
+        (actual, expected)
+    {
+        assert_eq!(a.latency, b.latency);
+        assert_eq!(a.class_latency, b.class_latency);
+    }
 }
 
 /// One of every response variant.
@@ -189,14 +209,10 @@ fn every_response_round_trips() {
     for response in all_responses() {
         let bytes = response.encode();
         let back = Response::decode(&bytes).expect("round trip decodes");
-        // `PerfReport` has no `PartialEq`; its debug format is the
-        // golden byte-identity surface, so compare through it.
-        assert_eq!(format!("{back:?}"), format!("{response:?}"));
+        assert_same_response(&back, &response);
         // The channel dispatcher must agree on the tag.
         match ServerMessage::decode(&bytes).expect("dispatch decodes") {
-            ServerMessage::Response(r) => {
-                assert_eq!(format!("{r:?}"), format!("{response:?}"));
-            }
+            ServerMessage::Response(r) => assert_same_response(&r, &response),
             ServerMessage::Telemetry(t) => panic!("response decoded as telemetry: {t:?}"),
         }
     }

@@ -378,9 +378,9 @@ impl<'a> Decoder<'a> {
         Ok(len as usize)
     }
 
-    /// Reads a sequence length prefix that must equal `expected` — used
-    /// when the container's size is construction-derived (server pools,
-    /// fixed histogram bucket arrays) and the snapshot merely confirms it.
+    /// Reads a sequence length prefix that must equal `expected` — for a
+    /// container whose size is construction-derived, so the image merely
+    /// confirms it.
     ///
     /// # Errors
     ///

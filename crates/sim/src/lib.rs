@@ -6,19 +6,17 @@
 //! first served, and a command's latency is the chain of [`Grant`]s its
 //! pipeline stages receive. The crate provides that substrate in pure Rust:
 //! a simulated time base with picosecond resolution ([`SimTime`]), the
-//! reservation primitive ([`Resource`], plus the [`RoundRobinArbiter`] the
-//! AHB bus grants through), performance statistics ([`stats`]), a
-//! deterministic random number generator ([`rng::SimRng`]) so simulations
-//! are reproducible, and the versioned binary [`codec`] every component's
-//! state is captured with.
+//! reservation primitive ([`Resource`], which also accumulates the busy time
+//! behind each component's utilization), a deterministic random number
+//! generator ([`rng::SimRng`]) so simulations are reproducible, and the
+//! versioned binary [`codec`] every component's state is captured with.
+//! Latency statistics live with the reports that carry them, in `ssdx-core`.
 //!
 //! Every primitive is thread-safe by construction — plain data with no
 //! interior mutability, no globals, no thread-locals — so a whole platform
 //! built from them is `Send` and can be constructed and driven on a worker
 //! thread of a parallel sweep executor. A compile-time test pins
-//! [`SimTime`], [`SimRng`](rng::SimRng), [`Resource`],
-//! [`RoundRobinArbiter`] and the legacy
-//! [`LatencyHistogram`](stats::LatencyHistogram) as `Send + Sync`.
+//! [`SimTime`], [`SimRng`](rng::SimRng) and [`Resource`] as `Send + Sync`.
 //!
 //! # Example
 //!
@@ -36,15 +34,12 @@
 
 #![warn(rust_2018_idioms)]
 
-pub mod arbiter;
 pub mod codec;
 pub mod hash;
 pub mod resource;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
-pub use arbiter::RoundRobinArbiter;
 pub use codec::{DecodeError, Decoder, Encoder};
 pub use resource::{Grant, Resource};
 pub use time::{Frequency, SimTime};
@@ -67,9 +62,5 @@ mod thread_safety {
         assert_sync::<rng::SimRng>();
         assert_send::<Resource>();
         assert_sync::<Resource>();
-        assert_send::<RoundRobinArbiter>();
-        assert_sync::<RoundRobinArbiter>();
-        assert_send::<stats::LatencyHistogram>();
-        assert_sync::<stats::LatencyHistogram>();
     }
 }

@@ -7,10 +7,10 @@
 //!
 //! Reservations return a [`Grant`] describing when service actually starts
 //! and ends, so callers can chain stages of a pipeline by feeding one grant's
-//! `end` into the next stage's earliest start.
+//! `end` into the next stage's earliest start. The resource also accumulates
+//! its busy time, which is where every component's utilization comes from.
 
 use crate::codec::{DecodeError, Decoder, Encoder};
-use crate::stats::Utilization;
 use crate::time::SimTime;
 
 /// The outcome of reserving a resource: when service started and ended, and
@@ -48,8 +48,7 @@ impl Grant {
 pub struct Resource {
     name: String,
     free_at: SimTime,
-    util: Utilization,
-    served: u64,
+    busy: SimTime,
 }
 
 impl Resource {
@@ -58,8 +57,7 @@ impl Resource {
         Resource {
             name: name.into(),
             free_at: SimTime::ZERO,
-            util: Utilization::new(),
-            served: 0,
+            busy: SimTime::ZERO,
         }
     }
 
@@ -73,11 +71,6 @@ impl Resource {
         self.free_at
     }
 
-    /// Number of requests served so far.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
     /// Reserves the resource for `duration`, starting no earlier than `at`.
     ///
     /// Returns the grant describing the actual service window.
@@ -85,8 +78,7 @@ impl Resource {
         let start = at.max(self.free_at);
         let end = start + duration;
         self.free_at = end;
-        self.util.add_busy(duration);
-        self.served += 1;
+        self.busy += duration;
         Grant {
             start,
             end,
@@ -94,30 +86,33 @@ impl Resource {
         }
     }
 
-    /// Fraction of time the resource was busy up to `horizon`.
+    /// Busy time accumulated so far as a fraction of `horizon`, or zero for
+    /// a zero horizon. Not clamped: a horizon shorter than the booked
+    /// windows yields a ratio above 1.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
-        self.util.ratio(horizon)
+        if horizon.is_zero() {
+            return 0.0;
+        }
+        self.busy.as_ps() as f64 / horizon.as_ps() as f64
     }
 
     /// Total busy time accumulated so far.
     pub fn busy_time(&self) -> SimTime {
-        self.util.busy()
+        self.busy
     }
 
-    /// Resets the resource to idle at time zero, clearing statistics.
+    /// Resets the resource to idle at time zero, clearing its busy time.
     pub fn reset(&mut self) {
         self.free_at = SimTime::ZERO;
-        self.util = Utilization::new();
-        self.served = 0;
+        self.busy = SimTime::ZERO;
     }
 
-    /// Encodes the mutable state, in stable field order:
-    /// `free_at`, `util`, `served`. The diagnostic name is
-    /// construction-derived and deliberately not part of the snapshot.
+    /// Encodes the mutable state, in stable field order: `free_at`, `busy`.
+    /// The diagnostic name is construction-derived and deliberately not
+    /// part of the snapshot.
     pub fn encode_state(&self, enc: &mut Encoder) {
         enc.put_time(self.free_at);
-        self.util.encode_state(enc);
-        enc.put_u64(self.served);
+        enc.put_time(self.busy);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state) onto
@@ -128,8 +123,7 @@ impl Resource {
     /// Returns [`DecodeError`] on truncated or malformed input.
     pub fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
         self.free_at = dec.get_time()?;
-        self.util.decode_state(dec)?;
-        self.served = dec.get_u64()?;
+        self.busy = dec.get_time()?;
         Ok(())
     }
 }
@@ -150,7 +144,6 @@ mod tests {
         // A request arriving after the backlog drains starts immediately.
         assert_eq!(g3.start, SimTime::from_ns(500));
         assert_eq!(g3.wait, SimTime::ZERO);
-        assert_eq!(r.served(), 3);
     }
 
     #[test]
@@ -170,12 +163,19 @@ mod tests {
     }
 
     #[test]
+    fn utilization_ratio() {
+        let mut r = Resource::new("x");
+        r.reserve(SimTime::ZERO, SimTime::from_ms(1));
+        assert!((r.utilization(SimTime::from_ms(4)) - 0.25).abs() < 1e-12);
+        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
+    }
+
+    #[test]
     fn reset_clears_state() {
         let mut r = Resource::new("x");
         r.reserve(SimTime::ZERO, SimTime::from_ns(250));
         r.reset();
         assert_eq!(r.free_at(), SimTime::ZERO);
-        assert_eq!(r.served(), 0);
         assert_eq!(r.busy_time(), SimTime::ZERO);
     }
 }

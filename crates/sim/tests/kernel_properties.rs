@@ -1,9 +1,8 @@
-//! Property-based tests of the simulation kernel: time arithmetic, resource
-//! bookkeeping, arbiter fairness and histogram ordering.
+//! Property-based tests of the simulation kernel: time arithmetic and
+//! resource bookkeeping.
 
 use proptest::prelude::*;
-use ssdx_sim::stats::LatencyHistogram;
-use ssdx_sim::{Frequency, Resource, RoundRobinArbiter, SimTime};
+use ssdx_sim::{Frequency, Resource, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -50,34 +49,5 @@ proptest! {
         }
         prop_assert_eq!(resource.busy_time(), expected);
         prop_assert_eq!(resource.free_at(), expected);
-        prop_assert_eq!(resource.served(), durations.len() as u64);
-    }
-
-    #[test]
-    fn arbiter_is_fair_under_saturation(ports in 2usize..12, rounds in 10usize..200) {
-        let mut arbiter = RoundRobinArbiter::new(ports);
-        let mut counts = vec![0u32; ports];
-        for _ in 0..rounds * ports {
-            let winner = arbiter.grant(&vec![true; ports]).expect("requests pending");
-            counts[winner] += 1;
-        }
-        let max = *counts.iter().max().expect("non-empty");
-        let min = *counts.iter().min().expect("non-empty");
-        prop_assert!(max - min <= 1, "round-robin must be fair under saturation: {counts:?}");
-    }
-
-    #[test]
-    fn histogram_percentiles_are_ordered(samples in prop::collection::vec(1u64..10_000_000, 1..300)) {
-        let mut histogram = LatencyHistogram::new();
-        for s in &samples {
-            histogram.record(SimTime::from_ns(*s));
-        }
-        let p50 = histogram.percentile(50.0);
-        let p90 = histogram.percentile(90.0);
-        let p99 = histogram.percentile(99.0);
-        prop_assert!(p50 <= p90);
-        prop_assert!(p90 <= p99);
-        prop_assert!(histogram.min() <= histogram.mean());
-        prop_assert!(histogram.mean() <= histogram.max());
     }
 }

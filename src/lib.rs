@@ -27,7 +27,7 @@
 
 #![warn(rust_2018_idioms)]
 
-/// Simulation kernel (time base, resource reservation, stats, state codec).
+/// Simulation kernel (time base, resource reservation, RNG, state codec).
 pub use ssdx_sim as sim;
 
 /// NAND flash memory array model.

@@ -13,7 +13,7 @@ use ssdexplorer::ecc::{BchCodec, EccScheme};
 use ssdexplorer::ftl::{PageMappedFtl, WafModel, WorkloadMix};
 use ssdexplorer::hostif::{AccessPattern, HostInterface, SataInterface, Workload};
 use ssdexplorer::nand::{MlcTimingProfile, PageKind, WearModel};
-use ssdexplorer::sim::{Resource, RoundRobinArbiter, SimTime};
+use ssdexplorer::sim::{Resource, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -39,24 +39,6 @@ proptest! {
                 prop_assert!(grant.end <= *start || grant.start >= *end, "service windows must not overlap");
             }
             windows.push((grant.start, grant.end));
-        }
-    }
-
-    #[test]
-    fn arbiter_grants_only_requesting_ports(
-        ports in 1usize..16,
-        rounds in prop::collection::vec(prop::collection::vec(any::<bool>(), 1..16), 1..50)
-    ) {
-        let mut arbiter = RoundRobinArbiter::new(ports);
-        for round in rounds {
-            let mut requests = vec![false; ports];
-            for (i, r) in round.iter().enumerate() {
-                requests[i % ports] |= *r;
-            }
-            match arbiter.grant(&requests) {
-                Some(winner) => prop_assert!(requests[winner]),
-                None => prop_assert!(requests.iter().all(|r| !r)),
-            }
         }
     }
 

@@ -15,9 +15,11 @@
 //!   state-identically (capture → fork → capture yields the same bytes),
 //!   and truncated, bit-flipped or arbitrary byte strings decode to `Err`
 //!   without ever panicking.
-//! * **Golden format pin**: `tests/golden/snapshot_v1.bin` is a committed
-//!   version-1 image; any change to the wire format fails the comparison
-//!   until `SNAPSHOT_VERSION` is bumped and the fixture regenerated.
+//! * **Golden format pin**: `tests/golden/snapshot_v2.bin` is a committed
+//!   version-2 image; any change to the wire format fails the comparison
+//!   until `SNAPSHOT_VERSION` is bumped and the fixture regenerated. The
+//!   retired `tests/golden/snapshot_v1.bin` must be refused as an
+//!   unsupported version, never misparsed.
 //! * **Warm-start ≡ cold** : an [`Explorer`] sweep with
 //!   [`warm_start`](Explorer::warm_start) forks every point of a group
 //!   from one shared warmup image and still produces byte-identical
@@ -413,14 +415,14 @@ fn warm_start_runs_the_warmup_once() {
 }
 
 /// Format pin: the canonical run below must keep producing the committed
-/// version-1 image byte for byte. Any wire-format change — field order,
+/// version-2 image byte for byte. Any wire-format change — field order,
 /// width, a new field — fails this comparison and therefore **must** bump
 /// [`SNAPSHOT_VERSION`], regenerate the fixture (`REGENERATE_GOLDEN=1`,
 /// renaming it to match the new version), and keep the old version's
 /// rejection explicit in [`Snapshot::from_bytes`].
 #[test]
-fn golden_v1_image_still_decodes_and_still_matches() {
-    const GOLDEN_PATH: &str = "tests/golden/snapshot_v1.bin";
+fn golden_v2_image_still_decodes_and_still_matches() {
+    const GOLDEN_PATH: &str = "tests/golden/snapshot_v2.bin";
     let cfg = config(2, 2, 42, FtlMode::PageMapped);
     let w = workload(AccessPattern::RandomWrite, 64, 42);
     let (_, _, image) = split_run(&cfg, &w, SteadyStateCutoff::Commands(8), 32);
@@ -453,6 +455,23 @@ fn golden_v1_image_still_decodes_and_still_matches() {
     let session = SimSession::fork(&mut ssd, &w, &golden).unwrap();
     let report = session.finish();
     assert_eq!(format!("{report:?}"), cold_report);
+}
+
+/// The retired version-1 golden image is refused by its version byte, not
+/// misparsed: version 2 changed the AHB, resource and session sections, so
+/// a version-1 image decoded as version 2 would be garbage.
+#[test]
+fn golden_v1_image_is_rejected_as_an_unsupported_version() {
+    let v1 = std::fs::read("tests/golden/snapshot_v1.bin").expect("the retired v1 fixture exists");
+    assert_eq!(&v1[..4], b"SSDX");
+    assert_eq!(v1[4], 1);
+    assert_eq!(
+        Snapshot::from_bytes(&v1),
+        Err(DecodeError::Invalid {
+            offset: 4,
+            what: "unsupported snapshot version",
+        })
+    );
 }
 
 /// Blindness guard: the snapshot's state inventory and the ssdx-lint

@@ -6,13 +6,15 @@
 //! (`LatencyHistogram::RELATIVE_ERROR`) above the exact sorted-vector
 //! quantile, and `merge` is exact — associative, commutative and
 //! indistinguishable from having recorded every sample into one histogram.
-//! The integration half asserts the end-to-end flow: the tail-latency
-//! study is deterministic byte for byte and its per-class counts match the
-//! workload mixes that produced them.
+//! The integration half asserts the end-to-end flow: a session records
+//! each completion exactly once, the tail-latency study is deterministic
+//! byte for byte and its per-class counts match the workload mixes that
+//! produced them.
 
 use proptest::prelude::*;
 use ssdexplorer::core::{
-    metrics, ClassHistograms, CommandClass, LatencyHistogram, SsdConfig, SteadyStateCutoff,
+    metrics, ClassHistograms, CommandClass, CompletionLog, LatencyHistogram, Ssd, SsdConfig,
+    SteadyStateCutoff,
 };
 use ssdexplorer::hostif::{CommandSource, HostOp, RmwWorkload, ZipfianWorkload};
 use ssdexplorer::sim::SimTime;
@@ -109,6 +111,55 @@ proptest! {
         let mut with_empty = one_pass;
         with_empty.merge(&LatencyHistogram::new());
         prop_assert_eq!(with_empty, one_pass);
+    }
+}
+
+fn cutoff_strategy() -> impl Strategy<Value = SteadyStateCutoff> {
+    prop_oneof![
+        Just(SteadyStateCutoff::None),
+        (0u64..200).prop_map(SteadyStateCutoff::Commands),
+        (0u64..2_000).prop_map(|us| SteadyStateCutoff::SimulatedTime(SimTime::from_us(us))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A session records each completion once: into its steady-state class
+    /// when the cutoff admits it, into the warmup otherwise. The whole-run
+    /// report histogram is the two together, so it equals a histogram
+    /// rebuilt from every completion record, whatever the cutoff.
+    #[test]
+    fn every_completion_is_recorded_exactly_once(
+        commands in 1u64..160,
+        read_fraction in prop::sample::select(vec![0.0, 0.3, 0.7, 1.0]),
+        seed in 0u64..1_000,
+        cutoff in cutoff_strategy(),
+    ) {
+        let zipf = ZipfianWorkload::new(0.9, seed)
+            .command_count(commands)
+            .footprint_bytes(8 << 20)
+            .read_fraction(read_fraction);
+        let config = SsdConfig::builder("record-once")
+            .topology(2, 2, 1)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let mut ssd = Ssd::try_new(config).unwrap();
+        let mut log = CompletionLog::new();
+        let mut session = ssd.session(&zipf);
+        session.steady_state(cutoff);
+        session.attach(&mut log);
+        let report = session.finish();
+
+        prop_assert_eq!(report.latency.count(), commands);
+        prop_assert!(report.class_latency.count() <= commands);
+        let mut rebuilt = LatencyHistogram::new();
+        for record in log.records() {
+            rebuilt.record(record.latency());
+        }
+        prop_assert_eq!(*report.latency, rebuilt);
+        prop_assert_eq!(*report.class_latency, log.class_histograms(cutoff));
     }
 }
 
