@@ -194,7 +194,7 @@ fn stepping_an_owned_session_never_allocates() {
         .build();
     // Warm the lazily populated wear maps, which the platform keeps.
     let _ = ssd.simulate(&w);
-    let mut session = ssd.into_session(&w);
+    let mut session = ssd.into_session(std::sync::Arc::new(w));
     let before = allocations();
     while session.step().is_some() {}
     let after = allocations();

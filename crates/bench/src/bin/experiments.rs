@@ -34,7 +34,9 @@
 //!   `SSDX_SPEED_GATE=skip` is set (cold caches make the numbers
 //!   meaningless).
 
-use ssdx_core::configs::{fig5_config, ocz_vertex_like, table2_configs, table3_configs};
+use ssdx_core::configs::{
+    fig5_config, ocz_vertex_like, table2_configs, table3_configs, OCZ_REFERENCE_MBPS,
+};
 use ssdx_core::{
     explorer, faults, metrics, speed, CachePolicy, HostInterfaceConfig, ParallelExecutor,
     SpeedBaseline, Ssd, SsdConfig, SteadyStateCutoff,
@@ -45,16 +47,6 @@ use std::fmt::Write as _;
 
 /// Every subcommand `main` accepts, as printed in the usage line.
 const SUBCOMMANDS: &str = "all|fig2|fig3|fig4|fig5|fig6|speed|speedup|tails|faults|tables|policies";
-
-/// Paper-reported throughput of the OCZ Vertex 120 GB (values read from
-/// Fig. 2 of the paper; the figure is plotted, not tabulated, so these are
-/// approximations used as the validation reference).
-const OCZ_REFERENCE_MBPS: [(AccessPattern, f64); 4] = [
-    (AccessPattern::SequentialWrite, 160.0),
-    (AccessPattern::SequentialRead, 200.0),
-    (AccessPattern::RandomWrite, 22.0),
-    (AccessPattern::RandomRead, 145.0),
-];
 
 /// Commands per configuration for the speed suite (same sizing as the fig6
 /// bench targets).

@@ -184,11 +184,19 @@ impl Default for FaultConfig {
     }
 }
 
+/// Most NAND dies one platform may hold: 65,536, which is 8× the largest
+/// Table III design point (C8, 8,192 dies). [`SsdConfig::validate`]
+/// rejects larger topologies before anything is allocated for them.
+pub const MAX_TOTAL_DIES: u64 = 1 << 16;
+
 /// Errors produced while building or parsing a configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A structural parameter (channels, ways, dies, buffers) is zero.
     ZeroDimension(&'static str),
+    /// `channels × ways × dies_per_way` exceeds [`MAX_TOTAL_DIES`] (or
+    /// overflows `u32`); the value is the product computed in `u64`.
+    TooManyDies(u64),
     /// A key in the text configuration is unknown.
     UnknownKey(String),
     /// A value in the text configuration cannot be parsed.
@@ -208,6 +216,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroDimension(what) => {
                 write!(f, "configuration field `{what}` must be non-zero")
             }
+            ConfigError::TooManyDies(dies) => write!(
+                f,
+                "channels × ways × dies_per_way = {dies} exceeds the {MAX_TOTAL_DIES}-die limit"
+            ),
             ConfigError::UnknownKey(k) => write!(f, "unknown configuration key `{k}`"),
             ConfigError::BadValue { key, value } => {
                 write!(f, "invalid value `{value}` for configuration key `{key}`")
@@ -314,7 +326,9 @@ impl SsdConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::ZeroDimension`] naming the offending field.
+    /// Returns [`ConfigError::ZeroDimension`] naming the offending field,
+    /// or [`ConfigError::TooManyDies`] when the topology holds more than
+    /// [`MAX_TOTAL_DIES`] dies.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.channels == 0 {
             return Err(ConfigError::ZeroDimension("channels"));
@@ -324,6 +338,10 @@ impl SsdConfig {
         }
         if self.dies_per_way == 0 {
             return Err(ConfigError::ZeroDimension("dies_per_way"));
+        }
+        let dies = self.channels as u64 * self.ways as u64 * self.dies_per_way as u64;
+        if dies > MAX_TOTAL_DIES {
+            return Err(ConfigError::TooManyDies(dies));
         }
         if self.dram_buffers == 0 {
             return Err(ConfigError::ZeroDimension("dram_buffers"));
@@ -888,6 +906,25 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroDimension("dram_buffers")
         );
+    }
+
+    #[test]
+    fn die_counts_beyond_the_limit_are_rejected() {
+        // 65536 × 65536 × 16 wraps a u32 product to zero; the check must
+        // see the true product.
+        let huge = SsdConfig::builder("huge")
+            .topology(65_536, 65_536, 16)
+            .build();
+        assert_eq!(huge.unwrap_err(), ConfigError::TooManyDies(1 << 36));
+        let over = SsdConfig::builder("over").topology(64, 64, 17).build();
+        assert_eq!(over.unwrap_err(), ConfigError::TooManyDies(64 * 64 * 17));
+        let limit = SsdConfig::builder("limit").topology(64, 64, 16).build();
+        assert_eq!(limit.unwrap().total_dies() as u64, MAX_TOTAL_DIES);
+        let text = "channels = 65536\nways = 65536\ndies_per_way = 16\n";
+        assert!(matches!(
+            SsdConfig::from_text(text),
+            Err(ConfigError::TooManyDies(_))
+        ));
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! * [`table3_configs`] — the eight design points C1–C8 of Table III, used by
 //!   the simulation-speed study (Fig. 6).
 //! * [`ocz_vertex_like`] — the consumer-drive configuration validated against
-//!   the OCZ Vertex 120 GB in Fig. 2.
+//!   the OCZ Vertex 120 GB in Fig. 2, with the drive's reported throughput
+//!   in [`OCZ_REFERENCE_MBPS`].
 //! * [`fig5_config`] — the 4-channel / 2-way / 4-die configuration of the
 //!   wear-out experiment (Fig. 5).
 
 use crate::config::{CachePolicy, HostInterfaceConfig, SsdConfig};
 use ssdx_ecc::EccScheme;
+use ssdx_hostif::AccessPattern;
 use ssdx_nand::{NandGeometry, OnfiSpeed};
 
 fn table2_entry(name: &str, buffers: u32, channels: u32, ways: u32, dies: u32) -> SsdConfig {
@@ -71,6 +73,17 @@ pub fn ocz_vertex_like() -> SsdConfig {
         .build()
         .expect("ocz-vertex-like configuration is structurally valid")
 }
+
+/// Paper-reported throughput of the OCZ Vertex 120 GB, in MB/s, for each
+/// Fig. 2 access pattern: the reference [`ocz_vertex_like`] is validated
+/// against. The figure is plotted, not tabulated, so these values are read
+/// off the plot.
+pub const OCZ_REFERENCE_MBPS: [(AccessPattern, f64); 4] = [
+    (AccessPattern::SequentialWrite, 160.0),
+    (AccessPattern::SequentialRead, 200.0),
+    (AccessPattern::RandomWrite, 22.0),
+    (AccessPattern::RandomRead, 145.0),
+];
 
 /// The configuration of the wear-out experiment (Fig. 5): 4 channels, 2 ways
 /// and 4 dies, differing only in ECC adaptability between the two runs.

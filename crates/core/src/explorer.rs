@@ -728,7 +728,7 @@ impl Explorer {
     /// earliest failing job's [`SweepError::InvalidPoint`].
     pub fn run_parallel<S>(&self, source: &S) -> Result<Sweep, SweepError>
     where
-        S: CommandSource + Sync + ?Sized,
+        S: CommandSource + ?Sized,
     {
         crate::parallel::ParallelExecutor::new().run(self, source)
     }
@@ -752,10 +752,7 @@ impl Explorer {
     ///
     /// Propagates the expansion errors of [`jobs`](Self::jobs) and the
     /// earliest failing job's [`SweepError::InvalidPoint`].
-    pub fn run_workloads(
-        &self,
-        sources: &[&(dyn CommandSource + Sync)],
-    ) -> Result<Sweep, SweepError> {
+    pub fn run_workloads(&self, sources: &[&dyn CommandSource]) -> Result<Sweep, SweepError> {
         let mut axes = vec!["workload".to_string()];
         axes.extend(self.axis_names());
         let mut points = Vec::new();

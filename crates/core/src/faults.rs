@@ -287,7 +287,7 @@ fn fault_campaign_impl(
     let probe = generative::degraded_probe(cfg.seed).command_count(commands_per_point);
     let churn = gc_churn(cfg.seed, commands_per_point);
 
-    let sub = |axes: Vec<Axis>, source: &(dyn CommandSource + Sync)| -> Result<Sweep, SweepError> {
+    let sub = |axes: Vec<Axis>, source: &dyn CommandSource| -> Result<Sweep, SweepError> {
         let mut explorer = Explorer::new(cfg.clone())
             .steady_state(warmup)
             .warm_start(warm_start);

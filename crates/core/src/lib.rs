@@ -64,7 +64,7 @@ pub mod ssd;
 
 pub use config::{
     CachePolicy, CompressorConfig, ConfigError, FaultConfig, FtlMode, HostInterfaceConfig,
-    SsdConfig, SsdConfigBuilder,
+    SsdConfig, SsdConfigBuilder, MAX_TOTAL_DIES,
 };
 pub use explorer::{
     endurance_axis, host_interface_study, wearout_study, Axis, AxisValue, Explorer, HostSweep,

@@ -119,7 +119,7 @@ impl ParallelExecutor {
     /// expansion, before the fan-out.
     pub fn run<S>(&self, explorer: &Explorer, source: &S) -> Result<Sweep, SweepError>
     where
-        S: CommandSource + Sync + ?Sized,
+        S: CommandSource + ?Sized,
     {
         let jobs = explorer.warmed_jobs(source)?;
         let points = self.execute_jobs(&jobs, source)?;
@@ -150,7 +150,7 @@ impl ParallelExecutor {
         source: &S,
     ) -> Result<Vec<SweepPoint>, SweepError>
     where
-        S: CommandSource + Sync + ?Sized,
+        S: CommandSource + ?Sized,
     {
         let workers = self.workers_for(jobs.len());
         if workers <= 1 || jobs.is_empty() {

@@ -39,12 +39,13 @@ use crate::ssd::Ssd;
 use ssdx_compress::{CompressorModel, CompressorPlacement};
 use ssdx_dram::AccessKind;
 use ssdx_ftl::{PageMappedFtl, WorkloadMix};
-use ssdx_hostif::{CommandSource, HostCommand, HostOp};
+use ssdx_hostif::{CommandSource, CommandStream, HostCommand, HostOp};
 use ssdx_nand::NandOp;
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// One completed host command, as delivered to [`Probe::on_command`] and
 /// returned by [`SimSession::step`].
@@ -188,13 +189,13 @@ impl Probe for CompletionLog {
     }
 }
 
-pub(crate) use storage::{Platform, Stream};
+pub(crate) use storage::{Platform, Source};
 
-/// Where a session keeps its platform and its command stream. A private
+/// Where a session keeps its platform and its command source. A private
 /// module, so the `Deref` plumbing stays out of the public API surface.
 mod storage {
     use crate::ssd::Ssd;
-    use ssdx_hostif::HostCommand;
+    use ssdx_hostif::CommandSource;
     use std::ops::{Deref, DerefMut};
     use std::sync::Arc;
 
@@ -229,33 +230,23 @@ mod storage {
         }
     }
 
-    /// A session's command stream: borrowed from a source that owns it, or
-    /// materialised once and shared by every
-    /// [`duplicate`](super::SimSession::duplicate).
-    pub(crate) enum Stream<'a> {
-        Borrowed(&'a [HostCommand]),
-        Shared(Arc<Vec<HostCommand>>),
+    /// The source a session reads its commands from: the caller's, borrowed
+    /// for the session's lifetime ([`Ssd::session`]), or shared with the
+    /// session's [`duplicate`](super::SimSession::duplicate)s
+    /// ([`Ssd::into_session`]).
+    pub(crate) enum Source<'a> {
+        Borrowed(&'a dyn CommandSource),
+        Shared(Arc<dyn CommandSource>),
     }
 
-    impl Stream<'_> {
-        /// A handle to the same commands that borrows nothing: shared
-        /// streams are reference-counted, borrowed ones are copied once.
-        pub(crate) fn share<'b>(&self) -> Stream<'b> {
-            match self {
-                Stream::Borrowed(commands) => Stream::Shared(Arc::new(commands.to_vec())),
-                Stream::Shared(commands) => Stream::Shared(Arc::clone(commands)),
-            }
-        }
-    }
-
-    impl Deref for Stream<'_> {
-        type Target = [HostCommand];
+    impl<'a> Deref for Source<'a> {
+        type Target = dyn CommandSource + 'a;
 
         #[inline]
-        fn deref(&self) -> &[HostCommand] {
+        fn deref(&self) -> &(dyn CommandSource + 'a) {
             match self {
-                Stream::Borrowed(commands) => commands,
-                Stream::Shared(commands) => commands,
+                Source::Borrowed(source) => *source,
+                Source::Shared(source) => &**source,
             }
         }
     }
@@ -270,12 +261,20 @@ mod storage {
 /// DRAM back-pressure ledger, WAF carry, latency histograms, optional
 /// page-mapped FTL), while the platform holds the component models.
 ///
+/// # Streaming
+///
+/// A session holds its [`CommandSource`] and a cursor, and reads command
+/// `cursor` from the source at each step: no run holds a copy of its
+/// stream, so memory does not grow with run length. The source's
+/// [`bounds`](CommandSource::bounds) size the per-run state when the
+/// session opens.
+///
 /// # Borrowed and owned sessions
 ///
 /// [`Ssd::session`] borrows the platform and the source for `'a`.
 /// [`Ssd::into_session`] and [`duplicate`](Self::duplicate) return a
-/// session that owns its platform and shares a materialised command
-/// stream, so it borrows nothing and can outlive its creator — stored as a
+/// session that owns its platform and shares its source through an `Arc`,
+/// so it borrows nothing and can outlive its creator — stored as a
 /// `SimSession<'static>` and sent to another thread, as `ssdx-server` does
 /// with the sessions it hosts. Both kinds run the same pipeline and
 /// produce the same records and reports.
@@ -298,8 +297,10 @@ pub struct SimSession<'a> {
     ssd: Platform<'a>,
     label: String,
     mix: WorkloadMix,
-    commands: Stream<'a>,
-    cursor: usize,
+    source: Source<'a>,
+    /// `source.len()`, read once at open.
+    len: u64,
+    cursor: u64,
     queue_depth: usize,
     buffer_capacity: u64,
     waf: f64,
@@ -322,15 +323,13 @@ pub struct SimSession<'a> {
 }
 
 impl<'a> SimSession<'a> {
-    /// Opens a session over `commands`, the materialised stream of
-    /// `source`, which also supplies the label and the FTL workload mix.
-    pub(crate) fn new<S: CommandSource + ?Sized>(
-        mut ssd: Platform<'a>,
-        source: &S,
-        commands: Stream<'a>,
-    ) -> Self {
+    /// Opens a session over `source`, which supplies the label, the FTL
+    /// workload mix and the bounds that size the per-run state.
+    pub(crate) fn new(mut ssd: Platform<'a>, source: Source<'a>) -> Self {
         let label = source.label();
         let mix = WorkloadMix::mixed(source.random_write_fraction());
+        let len = source.len();
+        let bounds = source.bounds();
         ssd.reset_activity();
 
         let queue_depth = ssd.config().queue_depth() as usize;
@@ -344,12 +343,7 @@ impl<'a> SimSession<'a> {
         // configured over-provisioning), and its garbage collection issues
         // real NAND operations that compete with host traffic.
         let ftl: Option<PageMappedFtl> = if ssd.config().ftl_mode == FtlMode::PageMapped {
-            let max_end = commands
-                .iter()
-                .map(|c| c.offset + c.bytes as u64)
-                .max()
-                .unwrap_or(page_bytes as u64);
-            let logical_pages = max_end.div_ceil(page_bytes as u64).max(1);
+            let logical_pages = bounds.max_end.div_ceil(page_bytes as u64).max(1);
             let pages_per_block = ssd.config().nand.geometry.pages_per_block as u64;
             let blocks = ((logical_pages as f64 * (1.0 + ssd.config().waf.over_provisioning)
                 / pages_per_block as f64)
@@ -375,18 +369,8 @@ impl<'a> SimSession<'a> {
         // buffer capacity divided by the smallest write in the stream
         // (clamped by the command count for short streams).
         let window = BinaryHeap::with_capacity(queue_depth + 1);
-        let min_write_bytes = commands
-            .iter()
-            .filter(|c| c.op == HostOp::Write)
-            .map(|c| c.bytes.max(1))
-            .min();
-        let in_flight_bound = match min_write_bytes {
-            Some(bytes) => {
-                commands
-                    .len()
-                    .min((buffer_capacity / bytes as u64 + 2) as usize)
-                    + 1
-            }
+        let in_flight_bound = match bounds.min_write_bytes {
+            Some(bytes) => len.min(buffer_capacity / bytes as u64 + 2) as usize + 1,
             None => 1, // no writes: the ledger stays empty
         };
         let in_flight = BinaryHeap::with_capacity(in_flight_bound);
@@ -394,7 +378,8 @@ impl<'a> SimSession<'a> {
             ssd,
             label,
             mix,
-            commands,
+            source,
+            len,
             cursor: 0,
             queue_depth,
             buffer_capacity,
@@ -464,17 +449,17 @@ impl<'a> SimSession<'a> {
 
     /// Commands completed so far.
     pub fn completed(&self) -> u64 {
-        self.cursor as u64
+        self.cursor
     }
 
     /// Commands still waiting in the stream.
     pub fn remaining(&self) -> u64 {
-        (self.commands.len() - self.cursor) as u64
+        self.len - self.cursor
     }
 
     /// `true` once every command in the stream has been executed.
     pub fn is_done(&self) -> bool {
-        self.cursor >= self.commands.len()
+        self.cursor >= self.len
     }
 
     /// A mid-run sample of latency, queue occupancy and per-component
@@ -483,7 +468,7 @@ impl<'a> SimSession<'a> {
         let horizon = self.ssd.activity_horizon(self.last_completion);
         SessionSnapshot {
             at: self.last_completion,
-            commands_completed: self.cursor as u64,
+            commands_completed: self.cursor,
             commands_remaining: self.remaining(),
             outstanding: self.window.len(),
             mean_latency: self.whole_run_latency().mean(),
@@ -511,7 +496,7 @@ impl<'a> SimSession<'a> {
         snapshot::encode_header(&mut enc, self.ssd.config());
         self.ssd.encode_state(&mut enc);
         enc.put_bool(true);
-        enc.put_u64(self.cursor as u64);
+        enc.put_u64(self.cursor);
         // Both heaps are serialised in sorted order so that equal states
         // encode to equal bytes regardless of heap-internal layout.
         let mut window: Vec<SimTime> = self.window.iter().map(|r| r.0).collect();
@@ -560,8 +545,9 @@ impl<'a> SimSession<'a> {
     /// The platform must be built from the same configuration (topology
     /// and seed are checked via the snapshot's platform signature) and
     /// `source` must be the same command source the captured session was
-    /// running — the stream itself is re-derived from the source rather
-    /// than stored in the image.
+    /// running. The image stores the cursor, not the stream: the fork opens
+    /// a session on `source` and seeks to the cursor, so its cost does not
+    /// depend on how far into the stream the image was captured.
     ///
     /// # Errors
     ///
@@ -582,21 +568,33 @@ impl<'a> SimSession<'a> {
     }
 
     /// Copies the session in memory: a new session that owns a clone of the
-    /// platform, carries every piece of in-flight state and shares this
-    /// session's command stream. Stepping either one never moves the other,
-    /// and each continues exactly as this session would have — the
-    /// in-memory counterpart of [`capture`](Self::capture) followed by
-    /// [`fork`](Self::fork), without the encode/decode round trip or a
-    /// second materialisation of the stream.
+    /// platform, carries every piece of in-flight state and reads the same
+    /// commands. Stepping either one never moves the other, and each
+    /// continues exactly as this session would have — the in-memory
+    /// counterpart of [`capture`](Self::capture) followed by
+    /// [`fork`](Self::fork), without the encode/decode round trip.
+    ///
+    /// A session that shares its source ([`Ssd::into_session`], or a
+    /// duplicate) hands the copy the same `Arc`. A session that borrows its
+    /// source ([`Ssd::session`]) cannot lend it past its own lifetime, so
+    /// the copy gets the stream collected once into a [`CommandStream`].
     ///
     /// Like `capture`, this copies simulation state only: attached probes
     /// and the sampling cadence stay with this session.
     pub fn duplicate<'b>(&self) -> SimSession<'b> {
+        let source = match &self.source {
+            Source::Shared(source) => Arc::clone(source),
+            Source::Borrowed(source) => Arc::new(CommandStream::new(
+                self.label.clone(),
+                source.commands().into_owned(),
+            )),
+        };
         SimSession {
             ssd: Platform::Owned(Box::new(Ssd::clone(&self.ssd))),
             label: self.label.clone(),
             mix: self.mix,
-            commands: self.commands.share(),
+            source: Source::Shared(source),
+            len: self.len,
             cursor: self.cursor,
             queue_depth: self.queue_depth,
             buffer_capacity: self.buffer_capacity,
@@ -625,10 +623,10 @@ impl<'a> SimSession<'a> {
             return Err(dec.invalid("snapshot has no session state; restore it with Ssd::restore"));
         }
         let cursor = dec.get_u64()?;
-        if cursor > self.commands.len() as u64 {
+        if cursor > self.len {
             return Err(dec.invalid("session cursor past the command stream end"));
         }
-        self.cursor = cursor as usize;
+        self.cursor = cursor;
         let window_len = dec.get_len()?;
         self.window.clear();
         let mut prev = SimTime::ZERO;
@@ -676,8 +674,11 @@ impl<'a> SimSession<'a> {
     /// Executes the next command through the full pipeline, returning its
     /// completion record, or `None` when the stream is exhausted.
     pub fn step(&mut self) -> Option<CommandRecord> {
-        let cmd = *self.commands.get(self.cursor)?;
-        let index = self.cursor as u64;
+        if self.cursor >= self.len {
+            return None;
+        }
+        let index = self.cursor;
+        let cmd = self.source.command(index);
         self.cursor += 1;
 
         let (admitted_at, completed_at) = self.execute(&cmd);
@@ -714,7 +715,7 @@ impl<'a> SimSession<'a> {
             probe.on_command(&record);
         }
         if let Some(every) = self.sample_every {
-            if self.cursor as u64 % every == 0 && !self.probes.is_empty() {
+            if self.cursor % every == 0 && !self.probes.is_empty() {
                 let snapshot = self.snapshot();
                 for probe in &mut self.probes {
                     probe.on_snapshot(&snapshot);
@@ -772,7 +773,7 @@ impl<'a> SimSession<'a> {
         };
         let report = self.ssd.build_report(
             &self.label,
-            self.commands.len() as u64,
+            self.len,
             self.total_bytes,
             self.last_completion,
             reported_waf,
@@ -827,7 +828,7 @@ impl<'a> SimSession<'a> {
                     }
                     _ => cmd.bytes,
                 };
-                let transfer = self.ssd.iface.transfer_time(cmd.bytes);
+                let transfer = self.ssd.host_transfer_time(cmd.bytes);
                 let link = self.ssd.host_link.reserve(admit, transfer);
                 let host_side_comp_done = match self.compressor {
                     Some(c) if c.placement == CompressorPlacement::HostSide => {
@@ -1005,7 +1006,7 @@ impl<'a> SimSession<'a> {
                     }
                     _ => last_page,
                 };
-                let transfer = self.ssd.iface.transfer_time(cmd.bytes);
+                let transfer = self.ssd.host_transfer_time(cmd.bytes);
                 self.ssd.host_link.reserve(host_side_decomp, transfer).end
             }
             HostOp::Trim => {

@@ -272,8 +272,8 @@ pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
     StateInventoryEntry {
         crate_name: "ssdx-hostif",
         carrier: None,
-        notes: "command streams are materialised at session creation and \
-                re-derived from (config, source) on fork",
+        notes: "sources are random-access: a session reads command `cursor` \
+                from its source, and a fork seeks to the encoded cursor",
     },
     StateInventoryEntry {
         crate_name: "ssdx-ftl",

@@ -132,7 +132,7 @@ pub fn measure_sweep_speedup<S>(
     threads: usize,
 ) -> Result<SweepSpeedup, SweepError>
 where
-    S: CommandSource + Sync + ?Sized,
+    S: CommandSource + ?Sized,
 {
     let mut rows = measure_sweep_speedups(explorer, source, &[threads])?;
     Ok(rows.pop().expect("one thread count yields one row"))
@@ -152,7 +152,7 @@ pub fn measure_sweep_speedups<S>(
     thread_counts: &[usize],
 ) -> Result<Vec<SweepSpeedup>, SweepError>
 where
-    S: CommandSource + Sync + ?Sized,
+    S: CommandSource + ?Sized,
 {
     // One untimed warm-up run so the timed sequential baseline is not
     // penalised by cold allocator/page-cache state relative to the parallel

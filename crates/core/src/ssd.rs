@@ -26,7 +26,7 @@ use crate::config::{ConfigError, SsdConfig};
 use crate::layout::{PageAllocator, PageTarget};
 use crate::metrics::{ClassHistograms, LatencyHistogram};
 use crate::report::{PerfReport, UtilizationBreakdown};
-use crate::session::{Platform, SimSession, Stream};
+use crate::session::{Platform, SimSession, Source};
 use ssdx_channel::{ChannelConfig, ChannelController};
 use ssdx_cpu::CpuModel;
 use ssdx_dram::{AccessKind, DramBuffer};
@@ -36,7 +36,6 @@ use ssdx_interconnect::{AhbBus, AhbConfig};
 use ssdx_nand::{NandOp, OnfiBus};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::{Resource, SimTime};
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -85,6 +84,10 @@ pub struct Ssd {
     ecc_encode_memo: (u64, SimTime),
     /// One-entry ECC decode-latency memo keyed by `(pe, raw-error bits)`.
     ecc_decode_memo: (u64, u64, SimTime),
+    /// One-entry `(bytes, link time)` memo of the host interface's
+    /// per-command transfer time, which costs a 128-bit division per
+    /// command and is a pure function of the payload size.
+    host_transfer_memo: (u32, SimTime),
 }
 
 impl Ssd {
@@ -99,7 +102,7 @@ impl Ssd {
     /// Returns the [`ConfigError`] produced by [`SsdConfig::validate`].
     pub fn try_new(config: SsdConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let iface = Arc::from(config.host_interface.build());
+        let iface: Arc<dyn HostInterface> = Arc::from(config.host_interface.build());
         let dram = (0..config.dram_buffers)
             .map(|i| DramBuffer::new(i, config.dram_timings))
             .collect();
@@ -129,7 +132,6 @@ impl Ssd {
             .map(|_| CpuModel::new(config.firmware))
             .collect();
         Ok(Ssd {
-            iface,
             host_link: Resource::new("host-link"),
             dram,
             cpus,
@@ -141,6 +143,8 @@ impl Ssd {
             aged_pe: 0,
             ecc_encode_memo: (u64::MAX, SimTime::ZERO),
             ecc_decode_memo: (u64::MAX, 0, SimTime::ZERO),
+            host_transfer_memo: (0, iface.transfer_time(0)),
+            iface,
             config,
         })
     }
@@ -153,6 +157,17 @@ impl Ssd {
             self.ecc_encode_memo = (pe, self.config.ecc.encode_latency_for(page_bytes, pe));
         }
         self.ecc_encode_memo.1
+    }
+
+    /// Host-link occupancy of one command with a `bytes` payload, through
+    /// the one-entry memo (identical value to
+    /// [`HostInterface::transfer_time`]).
+    #[inline]
+    pub(crate) fn host_transfer_time(&mut self, bytes: u32) -> SimTime {
+        if self.host_transfer_memo.0 != bytes {
+            self.host_transfer_memo = (bytes, self.iface.transfer_time(bytes));
+        }
+        self.host_transfer_memo.1
     }
 
     /// ECC decode latency for one page at the given wear and expected raw
@@ -303,33 +318,28 @@ impl Ssd {
     /// traces, explicit [`CommandStream`](ssdx_hostif::CommandStream)s,
     /// closure generators, or user types).
     ///
-    /// The session resets the platform's dynamic activity, materialises the
-    /// source's command stream and derives the FTL workload mix from
-    /// [`CommandSource::random_write_fraction`]. Drive it with
+    /// The session resets the platform's dynamic activity, sizes its
+    /// per-run state from [`CommandSource::bounds`] and derives the FTL
+    /// workload mix from [`CommandSource::random_write_fraction`]. It
+    /// borrows the source and reads one command from it per step, so
+    /// opening costs no more for a long stream than for a short one once
+    /// the source knows its bounds. Drive it with
     /// [`step`](SimSession::step) / [`run_until`](SimSession::run_until)
     /// and close it with [`finish`](SimSession::finish).
     pub fn session<'a, S: CommandSource + ?Sized>(&'a mut self, source: &'a S) -> SimSession<'a> {
-        // Sources that own their stream (traces, explicit lists) are
-        // borrowed. Generators materialise here — and a second time if
-        // their `random_write_fraction` falls back to the default
-        // estimator; generators that know their mix can pin it instead.
-        let commands = match source.commands() {
-            Cow::Borrowed(commands) => Stream::Borrowed(commands),
-            Cow::Owned(commands) => Stream::Shared(Arc::new(commands)),
-        };
-        SimSession::new(Platform::Borrowed(self), source, commands)
+        SimSession::new(
+            Platform::Borrowed(self),
+            Source::Borrowed(source.as_dyn_source()),
+        )
     }
 
     /// Like [`session`](Self::session), but the session takes the platform
-    /// and a materialised copy of the stream with it, so it borrows
-    /// nothing: it can be stored as a `SimSession<'static>`, sent to
-    /// another thread, and copied with [`SimSession::duplicate`]. A
-    /// generator's freshly materialised stream is moved in, not copied;
-    /// a source that owns its stream (a trace, an explicit list) is copied
-    /// once.
-    pub fn into_session<'a, S: CommandSource + ?Sized>(self, source: &S) -> SimSession<'a> {
-        let commands = Stream::Shared(Arc::new(source.commands().into_owned()));
-        SimSession::new(Platform::Owned(Box::new(self)), source, commands)
+    /// and a share of the source with it, so it borrows nothing: it can be
+    /// stored as a `SimSession<'static>`, sent to another thread, and
+    /// copied with [`SimSession::duplicate`], whose copies share the same
+    /// `Arc`. Nothing is copied out of the source.
+    pub fn into_session<'a>(self, source: Arc<dyn CommandSource>) -> SimSession<'a> {
+        SimSession::new(Platform::Owned(Box::new(self)), Source::Shared(source))
     }
 
     /// Runs any [`CommandSource`] through the full pipeline in one shot and

@@ -161,11 +161,12 @@ impl Bank {
         }
     }
 
-    /// Forces a precharge (used by refresh).
-    pub fn precharge(&mut self, at: SimTime, timings: &DdrTimings) {
+    /// Forces a precharge (used by refresh) lasting `t_rp`, the timing
+    /// set's [`precharge_time`](DdrTimings::precharge_time).
+    pub fn precharge(&mut self, at: SimTime, t_rp: SimTime) {
         let start = at.max(self.ready_at);
         self.state = BankState::Idle;
-        self.ready_at = start + timings.precharge_time();
+        self.ready_at = start + t_rp;
     }
 }
 
@@ -215,7 +216,7 @@ mod tests {
         let t = DdrTimings::ddr2_800();
         let mut b = Bank::new();
         b.open_row(SimTime::ZERO, 3, &t);
-        b.precharge(SimTime::from_ns(100), &t);
+        b.precharge(SimTime::from_ns(100), t.precharge_time());
         assert_eq!(b.state(), BankState::Idle);
         assert_eq!(b.ready_at(), SimTime::from_ns(100) + t.precharge_time());
     }

@@ -138,7 +138,7 @@ impl DramBuffer {
                 let skipped = (now - at).as_ps() / self.refresh_interval.as_ps();
                 let last_at = at + self.refresh_interval * skipped;
                 for bank in &mut self.banks {
-                    bank.precharge(last_at, &self.timings);
+                    bank.precharge(last_at, self.precharge);
                     bank.occupy_until(last_at + self.refresh_window);
                 }
                 self.data_bus_free = self.data_bus_free.max(last_at + self.refresh_window);
@@ -150,7 +150,7 @@ impl DramBuffer {
             // is degenerate), so refreshes interact and must be replayed one
             // by one until the device drains.
             for bank in &mut self.banks {
-                bank.precharge(at, &self.timings);
+                bank.precharge(at, self.precharge);
                 bank.occupy_until(at + self.refresh_window);
             }
             self.data_bus_free = self.data_bus_free.max(at + self.refresh_window);

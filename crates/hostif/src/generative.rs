@@ -19,16 +19,23 @@
 //! # Determinism
 //!
 //! Every generator draws exclusively from a [`SimRng`] seeded by its own
-//! `seed` parameter: the same parameters always materialise the same
-//! command stream, byte for byte, on any thread (the platform-wide
-//! contract documented on `ssdx_core::Explorer`). Materialisation is pure —
-//! calling [`CommandSource::commands`] twice yields identical streams.
+//! `seed` parameter: the same parameters always produce the same command
+//! stream, byte for byte, on any thread (the platform-wide contract
+//! documented on `ssdx_core::Explorer`).
+//!
+//! For given parameters each generator draws a fixed number of values per
+//! command, so [`CommandSource::command`] builds command `i` by
+//! [`skip`](SimRng::skip)ping the draws of commands `0..i`. Command `i` is
+//! therefore a pure function of the parameters and `i`, and it equals the
+//! `i`-th command of a sequential walk over the stream.
 
 use crate::command::{HostCommand, HostOp};
-use crate::source::CommandSource;
+use crate::source::{stream, CommandSource, Memo, StreamBounds};
 use ssdx_sim::rng::SimRng;
 use ssdx_sim::SimTime;
-use std::borrow::Cow;
+
+#[cfg(test)]
+mod oracle;
 
 /// Scatters zipfian ranks across the block space so the hottest blocks are
 /// not all clustered at offset zero (rank 0 would otherwise always be the
@@ -44,7 +51,7 @@ fn scramble(rank: u64, blocks: u64) -> u64 {
 /// Number of whole blocks the footprint holds, asserting the invariant the
 /// generators document: no command ever crosses the footprint end. The
 /// individual builder setters also check it, but only against the values
-/// set so far — validating at materialisation catches every setter order
+/// set so far — validating at generation catches every setter order
 /// (e.g. `block_size` grown after `footprint_bytes` was checked).
 #[inline]
 fn checked_blocks(footprint_bytes: u64, block_size: u32) -> u64 {
@@ -91,8 +98,8 @@ fn mixed_op(rng: &mut SimRng, read_fraction: f64) -> HostOp {
 ///     .command_count(512)
 ///     .footprint_bytes(64 << 20)
 ///     .read_fraction(1.0); // read-only
+/// assert_eq!(zipf.len(), 512);
 /// let commands = zipf.commands();
-/// assert_eq!(commands.len(), 512);
 /// // The hottest block dominates: it must appear far more often than the
 /// // uniform expectation (512 commands over 16 384 blocks).
 /// let mut counts = std::collections::BTreeMap::new();
@@ -107,7 +114,7 @@ fn mixed_op(rng: &mut SimRng, read_fraction: f64) -> HostOp {
 ///     .read_fraction(1.0)
 ///     .commands());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZipfianWorkload {
     theta: f64,
     seed: u64,
@@ -116,27 +123,24 @@ pub struct ZipfianWorkload {
     footprint_bytes: u64,
     read_fraction: f64,
     label: Option<String>,
-    /// zeta(blocks, θ), an O(blocks) pass of `powf` calls over parameters
-    /// that are fixed at materialisation time. Computed lazily on the
-    /// first [`commands`](CommandSource::commands) call and reused across
-    /// re-materialisations (sweeps materialise the same source once per
-    /// point); the setters that change the block count reset it. Derived
-    /// state — excluded from the manual `PartialEq`.
-    zetan: std::sync::OnceLock<f64>,
+    /// The quick-zipfian constants. zeta(blocks, θ) is an O(blocks) pass of
+    /// `powf` calls, so it is computed once and shared by every command;
+    /// the setters that change the block count reset it.
+    constants: Memo<ZipfConstants>,
+    /// One pass over the stream, cached; the setters that change the
+    /// stream reset it.
+    bounds: Memo<StreamBounds>,
 }
 
-/// Equality over the generator's parameters; the lazily cached zeta value
-/// is derived state and deliberately not compared.
-impl PartialEq for ZipfianWorkload {
-    fn eq(&self, other: &Self) -> bool {
-        self.theta == other.theta
-            && self.seed == other.seed
-            && self.command_count == other.command_count
-            && self.block_size == other.block_size
-            && self.footprint_bytes == other.footprint_bytes
-            && self.read_fraction == other.read_fraction
-            && self.label == other.label
-    }
+/// The YCSB quick-zipfian constants (Gray et al.) for one block count and
+/// skew.
+#[derive(Debug, Clone, Copy, Default)]
+struct ZipfConstants {
+    blocks: u64,
+    zetan: f64,
+    zeta2: f64,
+    alpha: f64,
+    eta: f64,
 }
 
 impl ZipfianWorkload {
@@ -160,13 +164,15 @@ impl ZipfianWorkload {
             footprint_bytes: 1 << 30,
             read_fraction: 0.5,
             label: None,
-            zetan: std::sync::OnceLock::new(),
+            constants: Memo::default(),
+            bounds: Memo::default(),
         }
     }
 
     /// Sets the number of commands to generate.
     pub fn command_count(mut self, count: u64) -> Self {
         self.command_count = count;
+        self.bounds = Memo::default();
         self
     }
 
@@ -178,7 +184,8 @@ impl ZipfianWorkload {
     pub fn block_size(mut self, bytes: u32) -> Self {
         assert!(bytes > 0, "block size must be non-zero");
         self.block_size = bytes;
-        self.zetan = std::sync::OnceLock::new();
+        self.constants = Memo::default();
+        self.bounds = Memo::default();
         self
     }
 
@@ -193,13 +200,15 @@ impl ZipfianWorkload {
             "footprint must hold at least one block"
         );
         self.footprint_bytes = bytes;
-        self.zetan = std::sync::OnceLock::new();
+        self.constants = Memo::default();
+        self.bounds = Memo::default();
         self
     }
 
     /// Sets the fraction of commands that are reads (clamped to `[0, 1]`).
     pub fn read_fraction(mut self, fraction: f64) -> Self {
         self.read_fraction = fraction.clamp(0.0, 1.0);
+        self.bounds = Memo::default();
         self
     }
 
@@ -219,45 +228,49 @@ impl CommandSource for ZipfianWorkload {
             .unwrap_or_else(|| format!("zipf-{:.2}", self.theta))
     }
 
-    fn commands(&self) -> Cow<'_, [HostCommand]> {
-        let blocks = checked_blocks(self.footprint_bytes, self.block_size);
-        // YCSB quick-zipfian constants (Gray et al.); zeta(n, θ) — the one
-        // O(n) pass — is computed on first use and cached across
-        // materialisations (OnceLock: safe under parallel sweeps sharing
-        // the source by reference, and the init is a pure function of the
-        // parameters, so any racing initialiser computes the same value).
-        let zetan = *self.zetan.get_or_init(|| {
-            (1..=blocks)
+    fn len(&self) -> u64 {
+        self.command_count
+    }
+
+    /// Two draws per command: the rank's uniform and the op.
+    fn command(&self, index: u64) -> HostCommand {
+        let k = self.constants.get_or_init(|| {
+            let blocks = checked_blocks(self.footprint_bytes, self.block_size);
+            let zetan: f64 = (1..=blocks)
                 .map(|i| 1.0 / (i as f64).powf(self.theta))
-                .sum()
+                .sum();
+            let zeta2 = 1.0 + 0.5f64.powf(self.theta);
+            ZipfConstants {
+                blocks,
+                zetan,
+                zeta2,
+                alpha: 1.0 / (1.0 - self.theta),
+                eta: (1.0 - (2.0 / blocks as f64).powf(1.0 - self.theta)) / (1.0 - zeta2 / zetan),
+            }
         });
-        let zeta2 = 1.0 + 0.5f64.powf(self.theta);
-        let alpha = 1.0 / (1.0 - self.theta);
-        let eta = (1.0 - (2.0 / blocks as f64).powf(1.0 - self.theta)) / (1.0 - zeta2 / zetan);
         let mut rng = SimRng::new(self.seed);
-        Cow::Owned(
-            (0..self.command_count)
-                .map(|i| {
-                    let u = rng.next_f64();
-                    let uz = u * zetan;
-                    let rank = if uz < 1.0 {
-                        0
-                    } else if uz < zeta2 {
-                        1
-                    } else {
-                        ((blocks as f64 * (eta * u - eta + 1.0).powf(alpha)) as u64).min(blocks - 1)
-                    };
-                    let op = mixed_op(&mut rng, self.read_fraction);
-                    HostCommand {
-                        id: i,
-                        op,
-                        offset: scramble(rank, blocks) * self.block_size as u64,
-                        bytes: self.block_size,
-                        issue_at: SimTime::ZERO,
-                    }
-                })
-                .collect(),
-        )
+        rng.skip(index.wrapping_mul(2));
+        let u = rng.next_f64();
+        let uz = u * k.zetan;
+        let rank = if uz < 1.0 {
+            0
+        } else if uz < k.zeta2 {
+            1
+        } else {
+            ((k.blocks as f64 * (k.eta * u - k.eta + 1.0).powf(k.alpha)) as u64).min(k.blocks - 1)
+        };
+        let op = mixed_op(&mut rng, self.read_fraction);
+        HostCommand {
+            id: index,
+            op,
+            offset: scramble(rank, k.blocks) * self.block_size as u64,
+            bytes: self.block_size,
+            issue_at: SimTime::ZERO,
+        }
+    }
+
+    fn bounds(&self) -> StreamBounds {
+        *self.bounds.get_or_init(|| StreamBounds::scan(stream(self)))
     }
 
     /// Zipfian draws are almost never contiguous, so the write traffic is
@@ -296,12 +309,11 @@ impl CommandSource for ZipfianWorkload {
 /// let bursty = BurstyWorkload::new(7)
 ///     .command_count(64)
 ///     .burst(16, SimTime::from_us(1), SimTime::from_ms(2));
-/// let commands = bursty.commands();
-/// assert_eq!(commands.len(), 64);
+/// assert_eq!(bursty.len(), 64);
 /// // Command 16 opens the second burst: 15 in-burst gaps, then the idle
 /// // gap replaces the 16th inter-arrival gap.
 /// let expected = SimTime::from_us(15) + SimTime::from_ms(2);
-/// assert_eq!(commands[16].issue_at, expected);
+/// assert_eq!(bursty.command(16).issue_at, expected);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BurstyWorkload {
@@ -314,6 +326,9 @@ pub struct BurstyWorkload {
     inter_arrival: SimTime,
     idle_gap: SimTime,
     label: Option<String>,
+    /// One pass over the stream, cached; the setters that change the
+    /// stream reset it.
+    bounds: Memo<StreamBounds>,
 }
 
 impl BurstyWorkload {
@@ -331,6 +346,7 @@ impl BurstyWorkload {
             inter_arrival: SimTime::from_us(2),
             idle_gap: SimTime::from_ms(1),
             label: None,
+            bounds: Memo::default(),
         }
     }
 
@@ -345,6 +361,7 @@ impl BurstyWorkload {
     /// Sets the number of commands to generate.
     pub fn command_count(mut self, count: u64) -> Self {
         self.command_count = count;
+        self.bounds = Memo::default();
         self
     }
 
@@ -356,6 +373,7 @@ impl BurstyWorkload {
     pub fn block_size(mut self, bytes: u32) -> Self {
         assert!(bytes > 0, "block size must be non-zero");
         self.block_size = bytes;
+        self.bounds = Memo::default();
         self
     }
 
@@ -370,12 +388,14 @@ impl BurstyWorkload {
             "footprint must hold at least one block"
         );
         self.footprint_bytes = bytes;
+        self.bounds = Memo::default();
         self
     }
 
     /// Sets the fraction of commands that are reads (clamped to `[0, 1]`).
     pub fn read_fraction(mut self, fraction: f64) -> Self {
         self.read_fraction = fraction.clamp(0.0, 1.0);
+        self.bounds = Memo::default();
         self
     }
 
@@ -400,32 +420,31 @@ impl CommandSource for BurstyWorkload {
         self.label.clone().unwrap_or_else(|| "bursty".to_string())
     }
 
-    fn commands(&self) -> Cow<'_, [HostCommand]> {
+    fn len(&self) -> u64 {
+        self.command_count
+    }
+
+    /// A block draw (none when the footprint holds one block) and an op
+    /// draw per command. The arrival time has a closed form: of the gaps
+    /// before command `index`, every `burst_len`-th is the idle gap.
+    fn command(&self, index: u64) -> HostCommand {
         let blocks = checked_blocks(self.footprint_bytes, self.block_size);
         let mut rng = SimRng::new(self.seed);
-        let mut at = SimTime::ZERO;
-        Cow::Owned(
-            (0..self.command_count)
-                .map(|i| {
-                    if i > 0 {
-                        at += if i % self.burst_len == 0 {
-                            self.idle_gap
-                        } else {
-                            self.inter_arrival
-                        };
-                    }
-                    let block = rng.uniform_u64(0, blocks - 1);
-                    let op = mixed_op(&mut rng, self.read_fraction);
-                    HostCommand {
-                        id: i,
-                        op,
-                        offset: block * self.block_size as u64,
-                        bytes: self.block_size,
-                        issue_at: at,
-                    }
-                })
-                .collect(),
-        )
+        rng.skip(index.wrapping_mul(1 + u64::from(blocks > 1)));
+        let block = rng.uniform_u64(0, blocks - 1);
+        let op = mixed_op(&mut rng, self.read_fraction);
+        let idle_gaps = index / self.burst_len;
+        HostCommand {
+            id: index,
+            op,
+            offset: block * self.block_size as u64,
+            bytes: self.block_size,
+            issue_at: self.idle_gap * idle_gaps + self.inter_arrival * (index - idle_gaps),
+        }
+    }
+
+    fn bounds(&self) -> StreamBounds {
+        *self.bounds.get_or_init(|| StreamBounds::scan(stream(self)))
     }
 
     /// Uniformly random addressing: write traffic is fully random (`0.0`
@@ -474,6 +493,9 @@ pub struct MixedSizeWorkload {
     footprint_bytes: u64,
     read_fraction: f64,
     label: Option<String>,
+    /// One pass over the stream, cached; the setters that change the
+    /// stream reset it.
+    bounds: Memo<StreamBounds>,
 }
 
 impl MixedSizeWorkload {
@@ -510,6 +532,7 @@ impl MixedSizeWorkload {
             footprint_bytes: 1 << 30,
             read_fraction: 0.5,
             label: None,
+            bounds: Memo::default(),
         }
     }
 
@@ -524,6 +547,7 @@ impl MixedSizeWorkload {
     /// Sets the number of commands to generate.
     pub fn command_count(mut self, count: u64) -> Self {
         self.command_count = count;
+        self.bounds = Memo::default();
         self
     }
 
@@ -539,12 +563,14 @@ impl MixedSizeWorkload {
             "footprint must hold the largest block size ({largest} B)"
         );
         self.footprint_bytes = bytes;
+        self.bounds = Memo::default();
         self
     }
 
     /// Sets the fraction of commands that are reads (clamped to `[0, 1]`).
     pub fn read_fraction(mut self, fraction: f64) -> Self {
         self.read_fraction = fraction.clamp(0.0, 1.0);
+        self.bounds = Memo::default();
         self
     }
 
@@ -562,37 +588,43 @@ impl CommandSource for MixedSizeWorkload {
         self.label.clone().unwrap_or_else(|| "mixed".to_string())
     }
 
-    fn commands(&self) -> Cow<'_, [HostCommand]> {
+    fn len(&self) -> u64 {
+        self.command_count
+    }
+
+    /// A size draw and a slot draw (each none over a single value) and an
+    /// op draw per command.
+    fn command(&self, index: u64) -> HostCommand {
         let total_weight: u64 = self.sizes.iter().map(|&(_, w)| w as u64).sum();
         // Align offsets to the largest size so every command fits inside
         // the footprint regardless of its drawn size.
         let slots = checked_blocks(self.footprint_bytes, self.largest_size());
         let align = self.largest_size() as u64;
         let mut rng = SimRng::new(self.seed);
-        Cow::Owned(
-            (0..self.command_count)
-                .map(|i| {
-                    let mut pick = rng.uniform_u64(0, total_weight - 1);
-                    let mut bytes = self.largest_size();
-                    for &(size, weight) in &self.sizes {
-                        if pick < weight as u64 {
-                            bytes = size;
-                            break;
-                        }
-                        pick -= weight as u64;
-                    }
-                    let slot = rng.uniform_u64(0, slots - 1);
-                    let op = mixed_op(&mut rng, self.read_fraction);
-                    HostCommand {
-                        id: i,
-                        op,
-                        offset: slot * align,
-                        bytes,
-                        issue_at: SimTime::ZERO,
-                    }
-                })
-                .collect(),
-        )
+        let draws = 1 + u64::from(total_weight > 1) + u64::from(slots > 1);
+        rng.skip(index.wrapping_mul(draws));
+        let mut pick = rng.uniform_u64(0, total_weight - 1);
+        let mut bytes = self.largest_size();
+        for &(size, weight) in &self.sizes {
+            if pick < weight as u64 {
+                bytes = size;
+                break;
+            }
+            pick -= weight as u64;
+        }
+        let slot = rng.uniform_u64(0, slots - 1);
+        let op = mixed_op(&mut rng, self.read_fraction);
+        HostCommand {
+            id: index,
+            op,
+            offset: slot * align,
+            bytes,
+            issue_at: SimTime::ZERO,
+        }
+    }
+
+    fn bounds(&self) -> StreamBounds {
+        *self.bounds.get_or_init(|| StreamBounds::scan(stream(self)))
     }
 
     /// Uniformly random addressing: write traffic is fully random (`0.0`
@@ -640,6 +672,9 @@ pub struct RmwWorkload {
     block_size: u32,
     footprint_bytes: u64,
     label: Option<String>,
+    /// One pass over the stream, cached; the setters that change the
+    /// stream reset it.
+    bounds: Memo<StreamBounds>,
 }
 
 impl RmwWorkload {
@@ -653,6 +688,7 @@ impl RmwWorkload {
             block_size: 4096,
             footprint_bytes: 1 << 30,
             label: None,
+            bounds: Memo::default(),
         }
     }
 
@@ -667,6 +703,7 @@ impl RmwWorkload {
     /// Sets the number of read+write update pairs to generate.
     pub fn updates(mut self, updates: u64) -> Self {
         self.updates = updates;
+        self.bounds = Memo::default();
         self
     }
 
@@ -678,6 +715,7 @@ impl RmwWorkload {
     pub fn block_size(mut self, bytes: u32) -> Self {
         assert!(bytes > 0, "block size must be non-zero");
         self.block_size = bytes;
+        self.bounds = Memo::default();
         self
     }
 
@@ -692,6 +730,7 @@ impl RmwWorkload {
             "footprint must hold at least one block"
         );
         self.footprint_bytes = bytes;
+        self.bounds = Memo::default();
         self
     }
 }
@@ -701,23 +740,31 @@ impl CommandSource for RmwWorkload {
         self.label.clone().unwrap_or_else(|| "rmw".to_string())
     }
 
-    fn commands(&self) -> Cow<'_, [HostCommand]> {
+    fn len(&self) -> u64 {
+        self.updates.saturating_mul(2)
+    }
+
+    /// One block draw per read/write pair (none when the footprint holds
+    /// one block, whose index is fixed anyway).
+    fn command(&self, index: u64) -> HostCommand {
         let blocks = checked_blocks(self.footprint_bytes, self.block_size);
         let mut rng = SimRng::new(self.seed);
-        let mut commands = Vec::with_capacity((self.updates * 2) as usize);
-        for u in 0..self.updates {
-            let offset = rng.uniform_u64(0, blocks - 1) * self.block_size as u64;
-            for (slot, op) in [HostOp::Read, HostOp::Write].into_iter().enumerate() {
-                commands.push(HostCommand {
-                    id: u * 2 + slot as u64,
-                    op,
-                    offset,
-                    bytes: self.block_size,
-                    issue_at: SimTime::ZERO,
-                });
-            }
+        rng.skip(index / 2);
+        HostCommand {
+            id: index,
+            op: if index % 2 == 0 {
+                HostOp::Read
+            } else {
+                HostOp::Write
+            },
+            offset: rng.uniform_u64(0, blocks - 1) * self.block_size as u64,
+            bytes: self.block_size,
+            issue_at: SimTime::ZERO,
         }
-        Cow::Owned(commands)
+    }
+
+    fn bounds(&self) -> StreamBounds {
+        *self.bounds.get_or_init(|| StreamBounds::scan(stream(self)))
     }
 
     /// Updates land on uniformly random blocks, so the write-back traffic
@@ -765,7 +812,7 @@ mod tests {
         };
         let a = make().commands().into_owned();
         let b = make().commands().into_owned();
-        assert_eq!(a, b, "same parameters must materialise the same stream");
+        assert_eq!(a, b, "same parameters must produce the same stream");
 
         // Skew: the most popular block takes far more than the uniform
         // share (2 000 / 16 384 blocks ≈ 0.12 expected per block).
@@ -973,7 +1020,7 @@ mod tests {
     fn materialisation_rejects_setter_orders_that_break_the_footprint() {
         // footprint_bytes was checked against the old 4 KB block size; the
         // later block_size call grows past it. The per-setter asserts
-        // cannot see this — materialisation must.
+        // cannot see this — generation must.
         let w = ZipfianWorkload::new(0.9, 0)
             .footprint_bytes(8192)
             .block_size(64 << 10);

@@ -42,7 +42,8 @@ pub use interface::{HostInterface, HostInterfaceKind};
 pub use nvme::{NvmeInterface, PcieGen};
 pub use sata::SataInterface;
 pub use source::{
-    estimate_random_write_fraction, source_fn, CommandSource, CommandStream, FnSource,
+    estimate_random_write_fraction, source_fn, AsDynSource, CommandSource, CommandStream, FnSource,
+    StreamBounds,
 };
 pub use trace::{ParseTraceError, TracePlayer};
 pub use workload::{AccessPattern, Workload, WorkloadBuilder};

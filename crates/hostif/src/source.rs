@@ -2,11 +2,16 @@
 //!
 //! Everything the simulated SSD executes — synthetic workloads, parsed
 //! traces, hand-built command lists, closure generators — implements one
-//! trait, [`CommandSource`]. The platform asks a source for three things:
-//! a label for reports, the materialised command stream, and an estimate of
-//! how random its write traffic is (which drives the WAF-based FTL
-//! abstraction). New drivers and sweep engines therefore compose with any
-//! source without knowing its concrete type.
+//! trait, [`CommandSource`]. A source is a random-access stream: it knows
+//! its length and yields any command by index, as a pure function of its
+//! parameters and that index. The platform never materialises a stream. A
+//! session holds its source and a cursor and asks for one command per
+//! step, and a fork seeks by setting the cursor. Besides the commands, the
+//! platform asks a source for a label for reports, the [`StreamBounds`]
+//! that size a session's per-run state, and an estimate of how random its
+//! write traffic is (which drives the WAF-based FTL abstraction). New
+//! drivers and sweep engines therefore compose with any source without
+//! knowing its concrete type.
 //!
 //! # Example
 //!
@@ -22,14 +27,19 @@
 //!     bytes: 4096,
 //!     issue_at: SimTime::ZERO,
 //! });
-//! assert_eq!(source.commands().len(), 64);
+//! assert_eq!(source.len(), 64);
+//! assert_eq!(source.command(3).offset, (1 << 20) + 4096);
+//! assert_eq!(source.bounds().max_end, (1 << 20) + 32 * 4096);
 //! assert!(source.random_write_fraction() > 0.9, "alternating streams look random");
 //! ```
 
 use crate::command::{HostCommand, HostOp};
 use crate::trace::TracePlayer;
 use crate::workload::Workload;
+use ssdx_sim::rng::SimRng;
+use ssdx_sim::SimTime;
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Estimates how random a write stream is: the fraction of write→write
 /// transitions whose offset is not contiguous with the end of the previous
@@ -41,10 +51,15 @@ use std::borrow::Cow;
 /// than two writes have no transitions and report `0.0`. The result is in
 /// `[0, 1]` and feeds the WAF abstraction's workload mix.
 pub fn estimate_random_write_fraction(commands: &[HostCommand]) -> f64 {
+    estimate(commands.iter().copied())
+}
+
+/// [`estimate_random_write_fraction`] over any command sequence.
+fn estimate(commands: impl Iterator<Item = HostCommand>) -> f64 {
     let mut transitions = 0u64;
     let mut non_contiguous = 0u64;
     let mut expected_next: Option<u64> = None;
-    for c in commands.iter().filter(|c| c.op == HostOp::Write) {
+    for c in commands.filter(|c| c.op == HostOp::Write) {
         if let Some(next) = expected_next {
             transitions += 1;
             if c.offset != next {
@@ -60,44 +75,157 @@ pub fn estimate_random_write_fraction(commands: &[HostCommand]) -> f64 {
     }
 }
 
+/// Every command of `source`, in issue order, generated one at a time.
+pub(crate) fn stream<S: CommandSource + ?Sized>(
+    source: &S,
+) -> impl Iterator<Item = HostCommand> + '_ {
+    (0..source.len()).map(move |index| source.command(index))
+}
+
+/// The extremes of a command stream that size a session's per-run state:
+/// the page-mapped FTL covers [`max_end`](Self::max_end), and the DRAM
+/// back-pressure ledger is pre-sized from
+/// [`min_write_bytes`](Self::min_write_bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StreamBounds {
+    /// Largest `offset + bytes` over every command; `0` for an empty
+    /// stream.
+    pub max_end: u64,
+    /// Smallest write payload in bytes, a zero-byte write counting as 1,
+    /// or `None` when the stream holds no writes. A source may report less
+    /// than the true minimum (a lower bound), never more.
+    pub min_write_bytes: Option<u32>,
+}
+
+impl StreamBounds {
+    /// The exact bounds of `commands`, in one pass that allocates nothing.
+    pub fn scan(commands: impl IntoIterator<Item = HostCommand>) -> StreamBounds {
+        let mut bounds = StreamBounds::default();
+        for c in commands {
+            bounds.max_end = bounds.max_end.max(c.offset + c.bytes as u64);
+            if c.op == HostOp::Write {
+                let bytes = c.bytes.max(1);
+                bounds.min_write_bytes =
+                    Some(bounds.min_write_bytes.map_or(bytes, |m| m.min(bytes)));
+            }
+        }
+        bounds
+    }
+}
+
+/// A value derived from a source's parameters: computed on first use,
+/// then reused by every session, fork and sweep point that reads it. A
+/// setter that changes a parameter the value depends on replaces it with
+/// `Memo::default()`. Every memo compares equal, so a derived `PartialEq`
+/// compares parameters only. The `OnceLock` keeps a source shared by
+/// reference across sweep workers safe, and any racing initialiser
+/// computes the same value.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Memo<T>(OnceLock<T>);
+
+impl<T> Memo<T> {
+    /// The cached value, computing it with `init` on first use.
+    pub(crate) fn get_or_init(&self, init: impl FnOnce() -> T) -> &T {
+        self.0.get_or_init(init)
+    }
+}
+
+impl<T> PartialEq for Memo<T> {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
 /// A source of host commands, the generic input of the simulation platform.
 ///
+/// A source is a random-access stream of [`len`](Self::len) commands:
+/// [`command`](Self::command) returns any one of them in O(1). Sessions
+/// read commands by index as they step, so a run holds no copy of its
+/// stream, and a fork resumes at any index without replaying the ones
+/// before it.
+///
 /// Implemented by [`Workload`] (synthetic generators), [`TracePlayer`]
-/// (trace replay), [`CommandStream`] (explicit command lists) and
-/// [`FnSource`] (closure generators); users can implement it for their own
-/// drivers. The trait is object safe, so heterogeneous collections of
-/// sources (`Vec<Box<dyn CommandSource>>`) work too.
+/// (trace replay), [`CommandStream`] (explicit command lists), [`FnSource`]
+/// (closure generators) and the [`generative`](crate::generative) suite;
+/// users can implement it for their own drivers. The trait is object safe,
+/// so heterogeneous collections of sources (`Vec<Box<dyn CommandSource>>`)
+/// work too.
 ///
 /// # Thread safety
 ///
-/// The trait deliberately does not require `Send`/`Sync`: a single-threaded
-/// driver may wrap a `RefCell` or an open file handle. Parallel sweep
-/// executors instead take `S: CommandSource + Sync` at the call site,
-/// because one source is shared **by reference** across worker threads and
-/// materialised once per sweep point. All sources shipped here are
-/// `Send + Sync` plain data (closure generators are as thread-safe as the
-/// closure they wrap), which the test suite pins at compile time; a
-/// stateful source that cannot be `Sync` can always pre-materialise into a
-/// [`CommandStream`].
-pub trait CommandSource {
+/// `Send + Sync` is a supertrait: parallel sweep executors share one source
+/// **by reference** across worker threads, and the service keeps a
+/// session's source in an `Arc` that its forks share. Every source shipped
+/// here is plain data (closure generators are as thread-safe as the closure
+/// they wrap). A source built on a `RefCell` or an open file handle can be
+/// collected into a [`CommandStream`] first.
+pub trait CommandSource: AsDynSource + Send + Sync {
     /// Short label used in performance reports (e.g. "SW", "trace").
     fn label(&self) -> String;
 
-    /// Materialises the command stream, in issue order.
+    /// Number of commands in the stream.
+    fn len(&self) -> u64;
+
+    /// `true` if the stream holds no commands.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Command `index` of the stream, in O(1).
     ///
-    /// Sources that already own a command list return it borrowed;
-    /// generators build it on demand. Callers should materialise once per
-    /// run and reuse the result.
-    fn commands(&self) -> Cow<'_, [HostCommand]>;
+    /// This must be a pure function of the source's parameters and
+    /// `index`: a session calls it once per step, and a fork resumes at an
+    /// arbitrary index. Generators built on [`SimRng`] seek with
+    /// [`SimRng::skip`].
+    ///
+    /// # Panics
+    ///
+    /// May panic if `index >= len()`.
+    fn command(&self, index: u64) -> HostCommand;
+
+    /// The stream's [`StreamBounds`].
+    ///
+    /// The default makes one pass over [`command`](Self::command) and
+    /// allocates nothing. Sources override it with a closed form where one
+    /// exists, or cache the pass.
+    fn bounds(&self) -> StreamBounds {
+        StreamBounds::scan(stream(self))
+    }
 
     /// Estimated randomness of the write traffic, `0.0` (sequential) to
     /// `1.0` (uniform random), which drives the WAF-based FTL abstraction.
     ///
-    /// The default estimates it from the materialised stream via
-    /// [`estimate_random_write_fraction`]; sources that know their own
-    /// statistics (like [`Workload`]) override it.
+    /// The default applies [`estimate_random_write_fraction`] in one pass
+    /// over [`command`](Self::command) that allocates nothing; sources that
+    /// know their own statistics (like [`Workload`]) override it.
     fn random_write_fraction(&self) -> f64 {
-        estimate_random_write_fraction(&self.commands())
+        estimate(stream(self))
+    }
+
+    /// The whole stream as one list, in issue order: a convenience for
+    /// analyses and tests, which the platform itself never calls.
+    ///
+    /// Sources that own a command list return it borrowed; the default
+    /// collects [`command`](Self::command) over the stream.
+    fn commands(&self) -> Cow<'_, [HostCommand]> {
+        Cow::Owned(stream(self).collect())
+    }
+}
+
+/// Views any source, sized or not, as a `&dyn CommandSource`, which is how
+/// a session holds a borrowed `&S` for `S: ?Sized` without boxing it.
+///
+/// A supertrait of [`CommandSource`]: the blanket impl covers every sized
+/// source, and `dyn CommandSource` reaches it through its vtable. There is
+/// never a reason to implement it by hand.
+pub trait AsDynSource {
+    /// `self` as a trait object.
+    fn as_dyn_source(&self) -> &dyn CommandSource;
+}
+
+impl<S: CommandSource> AsDynSource for S {
+    fn as_dyn_source(&self) -> &dyn CommandSource {
+        self
     }
 }
 
@@ -106,12 +234,24 @@ impl<S: CommandSource + ?Sized> CommandSource for &S {
         (**self).label()
     }
 
-    fn commands(&self) -> Cow<'_, [HostCommand]> {
-        (**self).commands()
+    fn len(&self) -> u64 {
+        (**self).len()
+    }
+
+    fn command(&self, index: u64) -> HostCommand {
+        (**self).command(index)
+    }
+
+    fn bounds(&self) -> StreamBounds {
+        (**self).bounds()
     }
 
     fn random_write_fraction(&self) -> f64 {
         (**self).random_write_fraction()
+    }
+
+    fn commands(&self) -> Cow<'_, [HostCommand]> {
+        (**self).commands()
     }
 }
 
@@ -120,8 +260,45 @@ impl CommandSource for Workload {
         self.pattern.label().to_string()
     }
 
-    fn commands(&self) -> Cow<'_, [HostCommand]> {
-        Cow::Owned(Workload::commands(self))
+    fn len(&self) -> u64 {
+        self.command_count
+    }
+
+    /// Random patterns draw one block index per command (none when the
+    /// footprint holds a single block, whose index is fixed anyway), so
+    /// command `index` skips `index` draws.
+    fn command(&self, index: u64) -> HostCommand {
+        let blocks_in_footprint = (self.footprint_bytes / self.block_size as u64).max(1);
+        let block_index = if self.pattern.is_random() {
+            let mut rng = SimRng::new(self.seed);
+            rng.skip(index);
+            rng.uniform_u64(0, blocks_in_footprint - 1)
+        } else {
+            index % blocks_in_footprint
+        };
+        HostCommand {
+            id: index,
+            op: self.pattern.op(),
+            offset: block_index * self.block_size as u64,
+            bytes: self.block_size,
+            issue_at: SimTime::ZERO,
+        }
+    }
+
+    /// Sequential patterns have a closed form: the stream reaches block
+    /// `min(commands, blocks) - 1`. Random patterns scan their draws on
+    /// every call; a `Workload` is `Copy` data with public fields, so it
+    /// caches nothing.
+    fn bounds(&self) -> StreamBounds {
+        if self.pattern.is_random() {
+            return StreamBounds::scan(stream(self));
+        }
+        let blocks_in_footprint = (self.footprint_bytes / self.block_size as u64).max(1);
+        StreamBounds {
+            max_end: self.command_count.min(blocks_in_footprint) * self.block_size as u64,
+            min_write_bytes: (self.pattern.op() == HostOp::Write && self.command_count > 0)
+                .then_some(self.block_size.max(1)),
+        }
     }
 
     /// Synthetic workloads know their own statistics: the random patterns
@@ -141,6 +318,14 @@ impl CommandSource for Workload {
 impl CommandSource for TracePlayer {
     fn label(&self) -> String {
         "trace".to_string()
+    }
+
+    fn len(&self) -> u64 {
+        TracePlayer::commands(self).len() as u64
+    }
+
+    fn command(&self, index: u64) -> HostCommand {
+        TracePlayer::commands(self)[index as usize]
     }
 
     fn commands(&self) -> Cow<'_, [HostCommand]> {
@@ -195,13 +380,21 @@ impl CommandSource for CommandStream {
         self.label.clone()
     }
 
-    fn commands(&self) -> Cow<'_, [HostCommand]> {
-        Cow::Borrowed(&self.commands)
+    fn len(&self) -> u64 {
+        self.commands.len() as u64
+    }
+
+    fn command(&self, index: u64) -> HostCommand {
+        self.commands[index as usize]
     }
 
     fn random_write_fraction(&self) -> f64 {
         self.random_write_fraction
             .unwrap_or_else(|| estimate_random_write_fraction(&self.commands))
+    }
+
+    fn commands(&self) -> Cow<'_, [HostCommand]> {
+        Cow::Borrowed(&self.commands)
     }
 }
 
@@ -211,20 +404,22 @@ impl FromIterator<HostCommand> for CommandStream {
     }
 }
 
-/// A closure-backed command source: the generator is invoked once per
-/// command index each time the stream is materialised. Build one with
+/// A closure-backed command source: the generator is invoked with a
+/// command's index each time that command is read. Build one with
 /// [`source_fn`].
 ///
-/// Unless a write-randomness estimate is pinned with
+/// The stream's bounds are computed by one pass over the closure on first
+/// use and cached. Unless a write-randomness estimate is pinned with
 /// [`with_random_write_fraction`](Self::with_random_write_fraction), the
-/// default [`CommandSource::random_write_fraction`] materialises the stream
-/// a second time to estimate it.
+/// default [`CommandSource::random_write_fraction`] makes one more pass to
+/// estimate it.
 #[derive(Debug, Clone)]
 pub struct FnSource<F> {
     label: String,
     count: u64,
     generate: F,
     random_write_fraction: Option<f64>,
+    bounds: Memo<StreamBounds>,
 }
 
 impl<F> FnSource<F>
@@ -239,11 +434,12 @@ where
             count,
             generate,
             random_write_fraction: None,
+            bounds: Memo::default(),
         }
     }
 
     /// Pins the write-randomness estimate (clamped to `[0, 1]`), which also
-    /// spares the extra stream materialisation the default estimator needs.
+    /// spares the extra pass the default estimator needs.
     pub fn with_random_write_fraction(mut self, fraction: f64) -> Self {
         self.random_write_fraction = Some(fraction.clamp(0.0, 1.0));
         self
@@ -252,19 +448,27 @@ where
 
 impl<F> CommandSource for FnSource<F>
 where
-    F: Fn(u64) -> HostCommand,
+    F: Fn(u64) -> HostCommand + Send + Sync,
 {
     fn label(&self) -> String {
         self.label.clone()
     }
 
-    fn commands(&self) -> Cow<'_, [HostCommand]> {
-        Cow::Owned((0..self.count).map(&self.generate).collect())
+    fn len(&self) -> u64 {
+        self.count
+    }
+
+    fn command(&self, index: u64) -> HostCommand {
+        (self.generate)(index)
+    }
+
+    fn bounds(&self) -> StreamBounds {
+        *self.bounds.get_or_init(|| StreamBounds::scan(stream(self)))
     }
 
     fn random_write_fraction(&self) -> f64 {
         self.random_write_fraction
-            .unwrap_or_else(|| estimate_random_write_fraction(&self.commands()))
+            .unwrap_or_else(|| estimate(stream(self)))
     }
 }
 
@@ -375,10 +579,10 @@ mod tests {
 
     #[test]
     fn fn_source_can_pin_its_fraction_and_skip_the_estimator() {
-        use std::cell::Cell;
-        let calls = Cell::new(0u32);
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let calls = AtomicU32::new(0);
         let src = source_fn("gen", 4, |i| {
-            calls.set(calls.get() + 1);
+            calls.fetch_add(1, Ordering::Relaxed);
             write(i, i * 8192)
         })
         .with_random_write_fraction(2.0);
@@ -388,12 +592,45 @@ mod tests {
             "pinned values are clamped"
         );
         assert_eq!(
-            calls.get(),
+            calls.load(Ordering::Relaxed),
             0,
-            "a pinned fraction must not materialise the stream"
+            "a pinned fraction must not generate the stream"
         );
         let _ = src.commands();
-        assert_eq!(calls.get(), 4);
+        assert_eq!(calls.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn fn_source_caches_its_bounds() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let calls = AtomicU32::new(0);
+        let src = source_fn("gen", 4, |i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            write(i, i * 8192)
+        });
+        let bounds = StreamBounds {
+            max_end: 3 * 8192 + 4096,
+            min_write_bytes: Some(4096),
+        };
+        assert_eq!(src.bounds(), bounds);
+        assert_eq!(src.bounds(), bounds);
+        assert_eq!(calls.load(Ordering::Relaxed), 4, "one pass, then the cache");
+    }
+
+    #[test]
+    fn sequential_workload_bounds_have_a_closed_form() {
+        for (count, footprint) in [(0u64, 1u64 << 20), (3, 1 << 20), (1000, 16 << 10)] {
+            let w = Workload::builder(AccessPattern::SequentialWrite)
+                .command_count(count)
+                .footprint_bytes(footprint)
+                .build();
+            assert_eq!(w.bounds(), StreamBounds::scan(w.commands()));
+        }
+        let reads = Workload::builder(AccessPattern::SequentialRead)
+            .command_count(8)
+            .build();
+        assert_eq!(reads.bounds().min_write_bytes, None);
+        assert_eq!(reads.bounds().max_end, 8 * 4096);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Synthetic workload generation (IOZone-like sequential/random read/write).
 
 use crate::command::{HostCommand, HostOp};
-use ssdx_sim::rng::SimRng;
-use ssdx_sim::SimTime;
 
 /// The four IOZone-style access patterns used throughout the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,30 +71,14 @@ impl Workload {
         WorkloadBuilder::new(pattern)
     }
 
-    /// Generates the command stream.
+    /// Generates the whole command stream, command by command through
+    /// [`CommandSource::command`](crate::CommandSource::command).
     ///
     /// All commands are made available at time zero (closed-loop benchmark
     /// behaviour, like IOZone saturating the queue); the SSD's own queue
     /// depth decides how many are actually admitted at once.
     pub fn commands(&self) -> Vec<HostCommand> {
-        let mut rng = SimRng::new(self.seed);
-        let blocks_in_footprint = (self.footprint_bytes / self.block_size as u64).max(1);
-        (0..self.command_count)
-            .map(|i| {
-                let block_index = if self.pattern.is_random() {
-                    rng.uniform_u64(0, blocks_in_footprint - 1)
-                } else {
-                    i % blocks_in_footprint
-                };
-                HostCommand {
-                    id: i,
-                    op: self.pattern.op(),
-                    offset: block_index * self.block_size as u64,
-                    bytes: self.block_size,
-                    issue_at: SimTime::ZERO,
-                }
-            })
-            .collect()
+        crate::source::stream(self).collect()
     }
 
     /// Total payload bytes the workload moves.

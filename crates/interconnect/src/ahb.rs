@@ -155,6 +155,10 @@ pub struct AhbBus {
     bus: Resource,
     per_master: Vec<BusStats>,
     slave_wait_states: Vec<u32>,
+    /// One-entry `(cycles, duration)` memo: within a run almost every
+    /// transfer moves the same descriptor, and each cycle-to-time
+    /// conversion costs a 128-bit division.
+    duration_memo: (u64, SimTime),
 }
 
 impl AhbBus {
@@ -171,6 +175,7 @@ impl AhbBus {
             bus: Resource::new("ahb"),
             per_master: vec![BusStats::default(); config.masters as usize],
             slave_wait_states: vec![config.default_wait_states; config.slaves as usize],
+            duration_memo: (0, SimTime::ZERO),
         }
     }
 
@@ -278,7 +283,10 @@ impl AhbBus {
             return Err(AhbError::PortOutOfRange);
         }
         let (beats, bursts, cycles) = self.split(slave, bytes);
-        let duration = self.config.clock.cycles_to_time(cycles);
+        if self.duration_memo.0 != cycles {
+            self.duration_memo = (cycles, self.config.clock.cycles_to_time(cycles));
+        }
+        let duration = self.duration_memo.1;
         let grant = self.bus.reserve(at, duration);
 
         let stats = &mut self.per_master[master as usize];

@@ -30,6 +30,7 @@ use ssdx_hostif::{
 };
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::SimTime;
+use std::sync::Arc;
 
 /// Protocol revision spoken by this build.
 ///
@@ -126,22 +127,24 @@ impl std::fmt::Display for ErrorCode {
 // Workload specs
 // ---------------------------------------------------------------------------
 
-/// Most commands one session's workload may hold: 2^24, which is 512 MiB
-/// of 32-byte `HostCommand`s once the stream is materialised.
+/// Most commands one session's workload may hold: 2^24.
 ///
-/// [`WorkloadSpec::build`] rejects larger workloads (an `Rmw` update counts
-/// as its two commands) with [`ErrorCode::BadWorkload`] before anything is
-/// allocated: a failed allocation aborts the whole server, and
-/// `catch_unwind` cannot catch it.
+/// A session reads its commands from the generator one at a time, so the
+/// cap does not bound memory. It bounds the work a single request can
+/// demand: the pass over the stream that sizes a session at create time
+/// (about half a second for a Zipfian stream at the cap), and the length
+/// of the run. [`WorkloadSpec::build`] rejects larger workloads (an `Rmw`
+/// update counts as its two commands) with [`ErrorCode::BadWorkload`].
 pub const MAX_SESSION_COMMANDS: u64 = 1 << 24;
 
 /// A self-contained, wire-encodable description of a command source.
 ///
 /// `CreateSession` carries one of these instead of an opaque command list:
-/// the server re-materialises the deterministic generator locally, so a
-/// few dozen bytes describe millions of commands and the same spec + seed
-/// reproduces the same stream on any build (the deterministic-replay
-/// contract in `docs/OPERATIONS.md`).
+/// the server rebuilds the deterministic generator locally and the session
+/// reads its commands from it one at a time, so a few dozen bytes describe
+/// millions of commands, no session holds its stream in memory, and the
+/// same spec + seed reproduces the same stream on any build (the
+/// deterministic-replay contract in `docs/OPERATIONS.md`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
     /// The four fixed access patterns of [`Workload`].
@@ -218,19 +221,20 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Validates the parameters and materialises the command source.
+    /// Validates the parameters and builds the command source, ready to
+    /// hand to [`Ssd::into_session`](ssdx_core::Ssd::into_session).
     ///
     /// Validation mirrors the generator constructors' own `assert!`
     /// invariants so that a hostile or buggy client yields a protocol
     /// error ([`ErrorCode::BadWorkload`]) instead of a server-side panic,
-    /// and caps the stream at [`MAX_SESSION_COMMANDS`]. The source is
-    /// returned unmaterialised.
+    /// and caps the stream at [`MAX_SESSION_COMMANDS`]. Building generates
+    /// no commands.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated
     /// invariant.
-    pub fn build(&self) -> Result<Box<dyn CommandSource + Send + Sync>, String> {
+    pub fn build(&self) -> Result<Arc<dyn CommandSource>, String> {
         let commands = match *self {
             WorkloadSpec::Basic { command_count, .. }
             | WorkloadSpec::Zipfian { command_count, .. }
@@ -263,7 +267,7 @@ impl WorkloadSpec {
                 seed,
             } => {
                 check_block(block_size, footprint_bytes)?;
-                Ok(Box::new(
+                Ok(Arc::new(
                     Workload::builder(pattern)
                         .block_size(block_size)
                         .command_count(command_count)
@@ -284,7 +288,7 @@ impl WorkloadSpec {
                     return Err(format!("zipfian skew must be in (0, 1), got {theta}"));
                 }
                 check_block(block_size, footprint_bytes)?;
-                Ok(Box::new(
+                Ok(Arc::new(
                     ZipfianWorkload::new(theta, seed)
                         .command_count(command_count)
                         .block_size(block_size)
@@ -306,7 +310,7 @@ impl WorkloadSpec {
                 if burst_len == 0 {
                     return Err("burst length must be non-zero".into());
                 }
-                Ok(Box::new(
+                Ok(Arc::new(
                     BurstyWorkload::new(seed)
                         .command_count(command_count)
                         .block_size(block_size)
@@ -342,7 +346,7 @@ impl WorkloadSpec {
                         "footprint must hold the largest block size ({largest} B)"
                     ));
                 }
-                Ok(Box::new(
+                Ok(Arc::new(
                     MixedSizeWorkload::new(sizes.iter().copied(), seed)
                         .command_count(command_count)
                         .footprint_bytes(footprint_bytes)
@@ -356,7 +360,7 @@ impl WorkloadSpec {
                 footprint_bytes,
             } => {
                 check_block(block_size, footprint_bytes)?;
-                Ok(Box::new(
+                Ok(Arc::new(
                     RmwWorkload::new(seed)
                         .updates(updates)
                         .block_size(block_size)

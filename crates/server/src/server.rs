@@ -37,9 +37,12 @@ pub struct ServerConfig {
     /// Worker threads executing session operations.
     pub workers: usize,
     /// Maximum concurrently live sessions. Each hosted session keeps its
-    /// whole simulation state in memory (platform, FTL maps, command
-    /// stream) — about 1 MiB for a page-mapped 16k-command session on the
-    /// Table II C1 platform — so this cap also bounds the server's memory.
+    /// whole simulation state in memory (platform, FTL maps), so this cap
+    /// also bounds the server's memory. The command stream is not part of
+    /// it: a session reads its commands from the generator one at a time,
+    /// so its size does not grow with its command count. What it does grow
+    /// with is the platform's topology and, in page-mapped mode, the
+    /// footprint the FTL maps.
     pub max_sessions: usize,
     /// Per-connection telemetry queue capacity (messages) before the
     /// drop-oldest policy sheds load.

@@ -2,8 +2,8 @@
 //! devices.
 //!
 //! Every session is one [`SessionEntry`]: a live [`SimSession`] that owns
-//! its platform and its materialised command stream
-//! ([`Ssd::into_session`]), plus an optional telemetry subscriber. A
+//! its platform and shares its command source ([`Ssd::into_session`]),
+//! plus an optional telemetry subscriber. A
 //! request costs only the simulation work it asks for: `Step`/`RunUntil`
 //! advance the session in place, `CaptureSnapshot` encodes it, and `Fork`
 //! copies it in memory ([`SimSession::duplicate`]). The two service
@@ -17,8 +17,10 @@
 //!   [`ErrorCode::SessionFailed`], and the server keeps serving.
 //!
 //! The price is memory: an idle session holds its whole simulation state
-//! (platform, FTL maps, stream), not a compact snapshot image — see
-//! `--max-sessions` in docs/OPERATIONS.md.
+//! (platform, FTL maps), not a compact snapshot image — see
+//! `--max-sessions` in docs/OPERATIONS.md. The command stream is not part
+//! of it: the session reads each command from its generator as it steps,
+//! and a fork shares the generator.
 //!
 //! Concurrency: the table lock is held only to check a session out or
 //! in. While an operation runs, the slot is marked busy and other
@@ -154,7 +156,7 @@ impl SessionHost {
             .map_err(|e| Failure::new(ErrorCode::BadWorkload, e))?;
         let session = guard_simulation(|| {
             Ssd::try_new(config)
-                .map(|ssd| ssd.into_session(source.as_ref()))
+                .map(|ssd| ssd.into_session(source))
                 .map_err(|e| Failure::new(ErrorCode::BadConfig, e.to_string()))
         })??;
         let remaining = session.remaining();
@@ -469,8 +471,8 @@ mod tests {
                 },
             ]
         };
-        // `build` hands the generator back unmaterialised, so accepting
-        // the cap costs nothing here.
+        // `build` generates no commands, so accepting the cap costs
+        // nothing here.
         for spec in specs(MAX_SESSION_COMMANDS) {
             assert!(spec.build().is_ok(), "{spec:?} is at the cap");
         }

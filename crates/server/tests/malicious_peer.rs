@@ -204,10 +204,9 @@ fn a_request_before_hello_is_refused() {
 fn an_oversized_session_is_refused_not_fatal() {
     let server = ephemeral_server();
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    // 10^11 commands would be a 3.2 TB stream, and `u64::MAX` updates of
-    // two commands each do not even fit a count: materialising either used
-    // to abort the whole server on the failed allocation. Both are refused
-    // on the same connection.
+    // 10^11 commands exceed the command cap, and `u64::MAX` updates of
+    // two commands each do not even fit a count. Both are refused on the
+    // same connection.
     let oversized = [
         ssdx_server::WorkloadSpec::Basic {
             pattern: ssdx_hostif::AccessPattern::SequentialWrite,
@@ -228,6 +227,28 @@ fn an_oversized_session_is_refused_not_fatal() {
             Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::BadWorkload),
             other => panic!("expected a bad-workload refusal, got {other:?}"),
         }
+    }
+    assert_still_serving(&server);
+    shutdown(server);
+}
+
+#[test]
+fn a_topology_beyond_the_die_limit_is_refused_not_fatal() {
+    let server = ephemeral_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // 65536 × 65536 × 16 dies: the u32 product wraps to zero, so only a
+    // check on the true product stops the platform build.
+    let config = "channels = 65536\nways = 65536\ndies_per_way = 16\n";
+    let spec = ssdx_server::WorkloadSpec::Basic {
+        pattern: ssdx_hostif::AccessPattern::SequentialWrite,
+        block_size: 4096,
+        command_count: 16,
+        footprint_bytes: 1 << 20,
+        seed: 1,
+    };
+    match client.create_session(config, &spec) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::BadConfig),
+        other => panic!("expected a bad-config refusal, got {other:?}"),
     }
     assert_still_serving(&server);
     shutdown(server);

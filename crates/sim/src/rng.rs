@@ -6,6 +6,9 @@
 //! distributions the component models need (uniform ranges and Bernoulli
 //! draws).
 
+/// SplitMix64's state increment (the golden-ratio constant γ).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A deterministic SplitMix64 pseudo-random number generator.
 ///
 /// The generator is a single `u64` of state — `Send + Sync` by
@@ -14,6 +17,11 @@
 /// source. That is what makes simulations reproducible across thread
 /// placements: a platform built on a parallel-sweep worker draws exactly
 /// the sequences it would draw on the main thread.
+///
+/// SplitMix64 is counter-based: the k-th draw is a pure function of the
+/// starting state plus k·γ. [`skip`](Self::skip) uses this to jump over
+/// any number of draws in O(1), which is how the workload generators
+/// produce command `i` without generating commands `0..i`.
 ///
 /// # Example
 ///
@@ -32,7 +40,7 @@ impl SimRng {
     /// Creates a generator from a seed. Equal seeds yield equal sequences.
     pub fn new(seed: u64) -> Self {
         SimRng {
-            state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
+            state: seed.wrapping_add(GAMMA),
         }
     }
 
@@ -58,9 +66,17 @@ impl SimRng {
         SimRng { state }
     }
 
+    /// Advances the generator past `draws` values in O(1): afterwards it
+    /// yields exactly what it would have yielded after `draws` calls to
+    /// [`next_u64`](Self::next_u64).
+    #[inline]
+    pub fn skip(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
+    }
+
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -185,6 +201,20 @@ mod tests {
         assert_eq!(restored, original);
         for _ in 0..16 {
             assert_eq!(restored.next_u64(), original.next_u64());
+        }
+    }
+
+    #[test]
+    fn skip_equals_drawing_and_discarding() {
+        for (seed, draws) in [(0u64, 0u64), (1, 1), (42, 7), (u64::MAX, 1000)] {
+            let mut drawn = SimRng::new(seed);
+            for _ in 0..draws {
+                drawn.next_u64();
+            }
+            let mut skipped = SimRng::new(seed);
+            skipped.skip(draws);
+            assert_eq!(skipped, drawn);
+            assert_eq!(skipped.next_u64(), drawn.next_u64());
         }
     }
 

@@ -1,7 +1,8 @@
-//! Property-based tests of the simulation kernel: time arithmetic and
-//! resource bookkeeping.
+//! Property-based tests of the simulation kernel: time arithmetic,
+//! resource bookkeeping and the RNG's O(1) skip.
 
 use proptest::prelude::*;
+use ssdx_sim::rng::SimRng;
 use ssdx_sim::{Frequency, Resource, SimTime};
 
 proptest! {
@@ -49,5 +50,17 @@ proptest! {
         }
         prop_assert_eq!(resource.busy_time(), expected);
         prop_assert_eq!(resource.free_at(), expected);
+    }
+
+    #[test]
+    fn rng_skip_equals_that_many_draws(seed in any::<u64>(), draws in 0u64..5_000) {
+        let mut drawn = SimRng::new(seed);
+        for _ in 0..draws {
+            drawn.next_u64();
+        }
+        let mut skipped = SimRng::new(seed);
+        skipped.skip(draws);
+        prop_assert_eq!(skipped.next_u64(), drawn.next_u64());
+        prop_assert_eq!(skipped, drawn);
     }
 }

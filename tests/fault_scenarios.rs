@@ -116,7 +116,7 @@ fn duplicate_run(
 ) -> (String, Vec<CommandRecord>) {
     let mut ssd = Ssd::try_new(cfg.clone()).unwrap();
     ssd.age_to_normalized(endurance);
-    let mut session = ssd.into_session(w);
+    let mut session = ssd.into_session(std::sync::Arc::new(*w));
     session.steady_state(cutoff);
     let mut records: Vec<CommandRecord> = (0..split).map_while(|_| session.step()).collect();
     let mut copy = session.duplicate();

@@ -7,7 +7,9 @@
 //! by the `experiments` binary with larger workloads. The sweeps run through
 //! the Explorer-based studies (`host_interface_study` / `wearout_study`).
 
-use ssdexplorer::core::configs::{fig5_config, ocz_vertex_like, table2_configs, table3_configs};
+use ssdexplorer::core::configs::{
+    fig5_config, ocz_vertex_like, table2_configs, table3_configs, OCZ_REFERENCE_MBPS,
+};
 use ssdexplorer::core::{explorer, speed, HostInterfaceConfig, Ssd, SsdConfig};
 use ssdexplorer::ecc::EccScheme;
 use ssdexplorer::hostif::{AccessPattern, Workload};
@@ -32,6 +34,28 @@ fn reduced_table2() -> Vec<SsdConfig> {
         .filter(|c| matches!(c.name.as_str(), "C1" | "C4" | "C6" | "C10"))
         .map(steady_state)
         .collect()
+}
+
+/// Fig. 2's accuracy, pinned at the size `experiments -- fig2` runs (1 GiB
+/// of 4 KB commands over an 8 GiB footprint on the full drive): every
+/// pattern stays within 10 % of the OCZ Vertex's reported throughput.
+#[test]
+fn fig2_accuracy_stays_within_ten_percent_of_the_ocz_vertex() {
+    let mut ssd = Ssd::try_new(ocz_vertex_like()).expect("ocz-vertex-like validates");
+    for (pattern, reference) in OCZ_REFERENCE_MBPS {
+        let w = Workload::builder(pattern)
+            .command_count(262_144)
+            .footprint_bytes(8 << 30)
+            .build();
+        let mbps = ssd.simulate(&w).throughput_mbps;
+        let error = (mbps - reference).abs() / reference;
+        assert!(
+            error <= 0.10,
+            "{}: {mbps:.1} MB/s is {:.1} % off the OCZ Vertex's {reference} MB/s",
+            pattern.label(),
+            error * 100.0
+        );
+    }
 }
 
 #[test]

@@ -3,13 +3,16 @@
 
 use proptest::prelude::*;
 use ssdexplorer::core::{
-    CommandRecord, CompletionLog, PerfReport, Probe, SessionSnapshot, Ssd, SsdConfig,
+    Axis, CommandRecord, CompletionLog, Explorer, FtlMode, ParallelExecutor, PerfReport, Probe,
+    SessionSnapshot, SimSession, Ssd, SsdConfig, SteadyStateCutoff,
 };
 use ssdexplorer::hostif::{
-    source_fn, AccessPattern, CommandSource, CommandStream, HostCommand, HostOp, TracePlayer,
-    Workload,
+    source_fn, AccessPattern, CommandSource, CommandStream, HostCommand, HostOp, StreamBounds,
+    TracePlayer, Workload, ZipfianWorkload,
 };
 use ssdexplorer::sim::SimTime;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 fn small_config(name: &str) -> SsdConfig {
     SsdConfig::builder(name)
@@ -124,6 +127,96 @@ fn boxed_dyn_sources_are_accepted() {
         let report = ssd.simulate(source.as_ref());
         assert!(report.commands > 0);
     }
+}
+
+/// A Zipfian source that refuses to list its stream: anything that still
+/// collected a whole stream would panic here.
+struct Unlisted(ZipfianWorkload);
+
+impl CommandSource for Unlisted {
+    fn label(&self) -> String {
+        self.0.label()
+    }
+
+    fn len(&self) -> u64 {
+        self.0.len()
+    }
+
+    fn command(&self, index: u64) -> HostCommand {
+        self.0.command(index)
+    }
+
+    fn bounds(&self) -> StreamBounds {
+        self.0.bounds()
+    }
+
+    fn random_write_fraction(&self) -> f64 {
+        self.0.random_write_fraction()
+    }
+
+    fn commands(&self) -> Cow<'_, [HostCommand]> {
+        panic!("the platform must read commands by index, never list the stream")
+    }
+}
+
+/// Session, fork, owned duplicate, warm-started `Explorer` and
+/// `ParallelExecutor` all run without ever listing the stream, and give
+/// the reports the listing source gives.
+#[test]
+fn no_platform_path_lists_the_whole_stream() {
+    let zipf = || {
+        ZipfianWorkload::new(0.9, 5)
+            .command_count(600)
+            .footprint_bytes(8 << 20)
+            .read_fraction(0.3)
+    };
+    let unlisted = Unlisted(zipf());
+    let reference = zipf();
+    let mut cfg = small_config("unlisted");
+    cfg.ftl_mode = FtlMode::PageMapped;
+
+    let expected = Ssd::new(cfg.clone()).simulate(&reference);
+    assert_eq!(
+        fingerprint(&Ssd::new(cfg.clone()).session(&unlisted).finish()),
+        fingerprint(&expected)
+    );
+
+    let image = {
+        let mut ssd = Ssd::new(cfg.clone());
+        let mut session = ssd.session(&unlisted);
+        for _ in 0..250 {
+            session.step();
+        }
+        session.capture()
+    };
+    let mut ssd = Ssd::new(cfg.clone());
+    let forked = SimSession::fork(&mut ssd, &unlisted, &image).expect("fork");
+    assert_eq!(fingerprint(&forked.finish()), fingerprint(&expected));
+
+    let mut owned = Ssd::new(cfg.clone()).into_session(Arc::new(Unlisted(zipf())));
+    for _ in 0..250 {
+        owned.step();
+    }
+    let copy = owned.duplicate();
+    assert_eq!(fingerprint(&owned.finish()), fingerprint(&expected));
+    assert_eq!(fingerprint(&copy.finish()), fingerprint(&expected));
+
+    let explorer = Explorer::new(cfg)
+        .over(Axis::over("seed", [1u64, 2, 3], |cfg, &s| cfg.seed = s))
+        .warm_start(SteadyStateCutoff::Commands(200));
+    let sweep = |s: &dyn CommandSource| {
+        let sequential = explorer.run(s).expect("sweep");
+        let parallel = ParallelExecutor::with_threads(2)
+            .run(&explorer, s)
+            .expect("sweep");
+        (
+            format!("{:?}", sequential.points),
+            format!("{:?}", parallel.points),
+        )
+    };
+    let (sequential, parallel) = sweep(&unlisted);
+    assert_eq!(sequential, parallel);
+    assert_eq!(sequential, sweep(&reference).0);
 }
 
 proptest! {

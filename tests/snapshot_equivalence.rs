@@ -113,7 +113,9 @@ fn duplicate_run(
     cutoff: SteadyStateCutoff,
     split: u64,
 ) -> (String, Vec<CommandRecord>) {
-    let mut session = Ssd::try_new(cfg.clone()).unwrap().into_session(w);
+    let mut session = Ssd::try_new(cfg.clone())
+        .unwrap()
+        .into_session(std::sync::Arc::new(*w));
     session.steady_state(cutoff);
     let mut records: Vec<CommandRecord> = (0..split).map_while(|_| session.step()).collect();
     let mut copy = session.duplicate();
