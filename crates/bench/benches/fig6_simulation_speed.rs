@@ -6,9 +6,9 @@
 //! regressions in simulator performance are caught.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ssdx_bench::{sequential_write_workload, steady_state};
+use ssdx_bench::{sequential_write_workload, speed, steady_state};
 use ssdx_core::configs::table3_configs;
-use ssdx_core::{speed, Ssd, SsdConfig};
+use ssdx_core::{Ssd, SsdConfig};
 use std::hint::black_box;
 
 fn print_series() {

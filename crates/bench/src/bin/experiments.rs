@@ -1,6 +1,6 @@
 //! Regenerates every table and figure of the SSDExplorer paper's evaluation.
 //!
-//! Run with `cargo run --release -p ssdx-bench --bin experiments -- [all|fig2|fig3|fig4|fig5|fig6|speed|speedup|tails|faults|tables|policies]`.
+//! Run with `cargo run --release -p ssdx-bench --bin experiments -- [all|fig2|fig3|fig4|fig5|fig6|speedup|tails|faults|tables|policies]`.
 //! With no argument it runs `all`; any other unknown argument lists the
 //! subcommands on stderr and exits with status 2. Results are printed as
 //! aligned text tables; every section renders into one shared `fmt::Write`
@@ -12,49 +12,34 @@
 //! read-modify-write) on a steady-state platform, reporting p50/p95/p99/
 //! p99.9 per command class with the first eighth of each stream trimmed as
 //! warmup. The output is fully deterministic (`--json` emits the
-//! machine-readable form, `--warm-start` forks each run from a per-workload
-//! warmup snapshot and prints byte-identical results).
+//! machine-readable form).
 //!
 //! The `faults` subcommand runs the degraded-device campaign: five
 //! fault/aging axes (artificial endurance aging, read-disturb growth,
 //! retention error scaling, block retirement, mid-GC power loss with
 //! recovery replay), each swept on a page-mapped steady-state platform and
-//! reported as per-class tail percentiles. Same flags as `tails`: `--json`
-//! emits the machine-readable form, `--warm-start` forks every scenario
-//! from a warmup snapshot, and the output is byte-identical either way.
+//! reported as per-class tail percentiles. As for `tails`, `--json` emits
+//! the machine-readable form and the output is fully deterministic.
 //!
-//! The `speed` subcommand is the simulation-speed measurement suite:
-//!
-//! * `speed` — human-readable table of the fig6-style baseline;
-//! * `speed --json` — machine-readable `BENCH_speed.json` emission on
-//!   stdout (what CI uploads as an artifact);
-//! * `speed --gate <path>` — regression gate: re-measures and exits
-//!   non-zero if commands/sec dropped more than 25 % below the committed
-//!   baseline at `<path>`. Skips gracefully on 1-core runners and when
-//!   `SSDX_SPEED_GATE=skip` is set (cold caches make the numbers
-//!   meaningless).
+//! `fig6` prints the paper's per-configuration KCPS table and `speedup`
+//! the sequential-vs-parallel sweep timing; both are wall-clock readings
+//! of this machine. The repository's simulation-speed baseline and CI gate
+//! is perfbench's `fig6-seqwrite` workload, recorded in `BENCH_fig6.json`.
 
+use ssdx_bench::speed;
 use ssdx_core::configs::{
     fig5_config, ocz_vertex_like, table2_configs, table3_configs, OCZ_REFERENCE_MBPS,
 };
 use ssdx_core::{
-    explorer, faults, metrics, speed, CachePolicy, HostInterfaceConfig, ParallelExecutor,
-    SpeedBaseline, Ssd, SsdConfig, SteadyStateCutoff,
+    explorer, faults, metrics, CachePolicy, HostInterfaceConfig, ParallelExecutor, Ssd, SsdConfig,
+    SteadyStateCutoff,
 };
 use ssdx_ecc::EccScheme;
 use ssdx_hostif::{AccessPattern, Workload};
 use std::fmt::Write as _;
 
 /// Every subcommand `main` accepts, as printed in the usage line.
-const SUBCOMMANDS: &str = "all|fig2|fig3|fig4|fig5|fig6|speed|speedup|tails|faults|tables|policies";
-
-/// Commands per configuration for the speed suite (same sizing as the fig6
-/// bench targets).
-const SPEED_COMMANDS: u64 = 8_192;
-/// Timed repeats per configuration in the speed suite (fastest kept).
-const SPEED_REPEATS: u32 = 3;
-/// The gate fails when commands/sec drops below this fraction of baseline.
-const SPEED_GATE_FLOOR: f64 = 0.75;
+const SUBCOMMANDS: &str = "all|fig2|fig3|fig4|fig5|fig6|speedup|tails|faults|tables|policies";
 
 fn fig2_commands() -> u64 {
     // 1 GiB of 4 KB commands: large enough that the 64 MB write cache of the
@@ -298,19 +283,12 @@ fn parallel_speedup(out: &mut String) {
 const TAIL_COMMANDS: u64 = 8_192;
 
 /// Builds the tail-latency study on the canonical steady-state platform:
-/// one eighth of each stream is trimmed as warmup. With `warm` the warmup
-/// prefix is simulated once per workload and every run forks from the
-/// captured snapshot — byte-identical output by the fork-equivalence
-/// contract, which `tails --warm-start` exists to demonstrate.
-fn tail_study(warm: bool) -> ssdx_core::TailStudy {
+/// one eighth of each stream is trimmed as warmup.
+fn tail_study() -> ssdx_core::TailStudy {
     let base = steady_state(table2_configs().remove(5));
     let warmup = SteadyStateCutoff::Commands(TAIL_COMMANDS / 8);
-    let study = if warm {
-        metrics::tail_latency_study_warm(&base, TAIL_COMMANDS, warmup)
-    } else {
-        metrics::tail_latency_study(&base, TAIL_COMMANDS, warmup)
-    };
-    study.expect("the table II configuration validates")
+    metrics::tail_latency_study(&base, TAIL_COMMANDS, warmup)
+        .expect("the table II configuration validates")
 }
 
 fn tail_latency(out: &mut String) {
@@ -318,7 +296,7 @@ fn tail_latency(out: &mut String) {
         out,
         "Tail latency — generative workloads, steady-state percentiles per class",
     );
-    let study = tail_study(false);
+    let study = tail_study();
     let _ = writeln!(
         out,
         "{} commands per workload, first {} trimmed as warmup\n",
@@ -330,13 +308,10 @@ fn tail_latency(out: &mut String) {
 }
 
 /// The tails suite: print the percentile table, or emit JSON with
-/// `--json`. `--warm-start` forks every run from a per-workload warmup
-/// snapshot instead of replaying the warmup; the output is byte-identical
-/// either way. Deterministic — two runs print identical bytes.
+/// `--json`. Deterministic — two runs print identical bytes.
 fn tails_suite(args: &[String]) -> i32 {
-    let study = tail_study(args.iter().any(|a| a == "--warm-start"));
     if args.iter().any(|a| a == "--json") {
-        print!("{}", study.to_json());
+        print!("{}", tail_study().to_json());
     } else {
         let mut out = String::new();
         tail_latency(&mut out);
@@ -349,19 +324,12 @@ fn tails_suite(args: &[String]) -> i32 {
 const FAULT_COMMANDS: u64 = 2_048;
 
 /// Builds the degraded-device campaign on the canonical steady-state
-/// platform: one eighth of each stream is trimmed as warmup. With `warm`
-/// every scenario forks from a captured warmup snapshot — byte-identical
-/// output by the fork-equivalence contract, which `faults --warm-start`
-/// exists to demonstrate.
-fn fault_study(warm: bool) -> ssdx_core::FaultStudy {
+/// platform: one eighth of each stream is trimmed as warmup.
+fn fault_study() -> ssdx_core::FaultStudy {
     let base = steady_state(table2_configs().remove(5));
     let warmup = SteadyStateCutoff::Commands(FAULT_COMMANDS / 8);
-    let study = if warm {
-        faults::fault_campaign_warm(&base, FAULT_COMMANDS, warmup)
-    } else {
-        faults::fault_campaign(&base, FAULT_COMMANDS, warmup)
-    };
-    study.expect("the table II configuration validates")
+    faults::fault_campaign(&base, FAULT_COMMANDS, warmup)
+        .expect("the table II configuration validates")
 }
 
 fn fault_scenarios(out: &mut String) {
@@ -369,7 +337,7 @@ fn fault_scenarios(out: &mut String) {
         out,
         "Fault injection — degraded-device scenarios, steady-state percentiles per class",
     );
-    let study = fault_study(false);
+    let study = fault_study();
     let _ = writeln!(
         out,
         "{} commands per scenario, first {} trimmed as warmup\n",
@@ -381,13 +349,10 @@ fn fault_scenarios(out: &mut String) {
 }
 
 /// The faults suite: print the scenario percentile table, or emit JSON
-/// with `--json`. `--warm-start` forks every scenario from a warmup
-/// snapshot instead of replaying the warmup; the output is byte-identical
-/// either way. Deterministic — two runs print identical bytes.
+/// with `--json`. Deterministic — two runs print identical bytes.
 fn faults_suite(args: &[String]) -> i32 {
-    let study = fault_study(args.iter().any(|a| a == "--warm-start"));
     if args.iter().any(|a| a == "--json") {
-        print!("{}", study.to_json());
+        print!("{}", fault_study().to_json());
     } else {
         let mut out = String::new();
         fault_scenarios(&mut out);
@@ -409,83 +374,6 @@ fn cache_policy_note(out: &mut String) {
     let _ = writeln!(out);
 }
 
-/// The simulation-speed suite: measure the fig6-style baseline, then emit
-/// it (`--json`), print it, or gate against a committed baseline
-/// (`--gate <path>`). Returns the process exit code.
-fn speed_suite(args: &[String]) -> i32 {
-    let json = args.iter().any(|a| a == "--json");
-    let gate_path = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1));
-
-    // Graceful gate skips — the measurement and the JSON emission still run
-    // (CI uploads them as an artifact either way), only the pass/fail
-    // comparison is suppressed: a 1-core runner cannot produce comparable
-    // numbers (the committed baseline includes a parallel leg), and an
-    // explicit skip env covers cold-cache runs where timing is dominated by
-    // I/O. `SSDX_SPEED_GATE=force` runs the comparison regardless.
-    let gate_skip = if gate_path.is_some() {
-        let mode = std::env::var("SSDX_SPEED_GATE").unwrap_or_default();
-        if mode == "skip" {
-            Some("SSDX_SPEED_GATE=skip — e.g. cold cache")
-        } else if mode != "force" && ParallelExecutor::new().threads() < 2 {
-            Some("single hardware thread")
-        } else {
-            None
-        }
-    } else {
-        None
-    };
-
-    let baseline = speed::measure_fig6_baseline(SPEED_COMMANDS, SPEED_REPEATS);
-
-    if json {
-        print!("{}", baseline.to_json());
-    } else {
-        let mut out = String::new();
-        section(
-            &mut out,
-            "Simulation-speed baseline (fig6 methodology, cmds/s)",
-        );
-        out.push_str(&baseline.to_table());
-        print!("{out}");
-    }
-
-    if let Some(reason) = gate_skip {
-        eprintln!("speed gate: skipped ({reason})");
-        return 0;
-    }
-    if let Some(path) = gate_path {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("speed gate: cannot read baseline {path}: {e}");
-                return 1;
-            }
-        };
-        let Some(reference) = SpeedBaseline::parse_geomean(&committed) else {
-            eprintln!("speed gate: no geomean_commands_per_sec field in {path}");
-            return 1;
-        };
-        let measured = baseline.geomean_commands_per_sec;
-        let floor = reference * SPEED_GATE_FLOOR;
-        eprintln!(
-            "speed gate: measured {measured:.0} cmds/s vs committed {reference:.0} \
-             (floor {floor:.0})"
-        );
-        if measured < floor {
-            eprintln!(
-                "speed gate: FAIL — simulation speed regressed more than {:.0}%",
-                (1.0 - SPEED_GATE_FLOOR) * 100.0
-            );
-            return 1;
-        }
-        eprintln!("speed gate: ok");
-    }
-    0
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let arg = args.first().map(String::as_str).unwrap_or("all");
@@ -498,7 +386,6 @@ fn main() {
         "fig4" => fig4_pcie_sweep(&mut out),
         "fig5" => fig5_wearout(&mut out),
         "fig6" => fig6_simulation_speed(&mut out),
-        "speed" => std::process::exit(speed_suite(&args[1..])),
         "speedup" => parallel_speedup(&mut out),
         "tails" => std::process::exit(tails_suite(&args[1..])),
         "faults" => std::process::exit(faults_suite(&args[1..])),

@@ -2,9 +2,13 @@
 //!
 //! Every table and figure of the paper's evaluation has a dedicated Criterion
 //! bench target in `benches/`; the helpers here keep the workload sizing and
-//! the steady-state adjustments consistent across them. The full-size
-//! experiment runs (larger workloads, all configurations) live in the
-//! `experiments` binary: `cargo run --release -p ssdx-bench --bin experiments`.
+//! the steady-state adjustments consistent across them, and [`speed`] holds
+//! the wall-clock meters behind the Fig. 6 KCPS table and the parallel
+//! sweep speedup. The full-size experiment runs (larger workloads, all
+//! configurations) live in the `experiments` binary:
+//! `cargo run --release -p ssdx-bench --bin experiments`.
+
+pub mod speed;
 
 use ssdx_core::{Axis, CachePolicy, Explorer, SsdConfig};
 use ssdx_hostif::{AccessPattern, Workload};
@@ -43,7 +47,7 @@ pub fn bench_workload(pattern: AccessPattern, commands: u64) -> Workload {
 pub fn print_speedup_series(commands: u64) {
     let explorer = speedup_explorer();
     let workload = sequential_write_workload(commands);
-    let rows = ssdx_core::measure_sweep_speedups(&explorer, &workload, &[1, 2, 4, 8])
+    let rows = speed::measure_sweep_speedups(&explorer, &workload, &[1, 2, 4, 8])
         .expect("speedup sweep points are valid");
     for speedup in &rows {
         assert!(

@@ -534,10 +534,9 @@ impl Explorer {
     ///
     /// Points with distinct configurations (the usual case for a swept
     /// axis) each form their own group, so warm-start never mixes state
-    /// across configurations; it pays off when a sweep revisits one
-    /// configuration many times (replica axes, per-workload tail studies
-    /// re-running a fixed platform). [`SteadyStateCutoff::None`] (the
-    /// default) disables warm-start entirely.
+    /// across configurations; it pays off only when a sweep revisits one
+    /// configuration many times (replica axes). [`SteadyStateCutoff::None`]
+    /// (the default) disables warm-start entirely.
     pub fn warm_start(mut self, cutoff: SteadyStateCutoff) -> Self {
         self.warm_start = cutoff;
         self

@@ -29,9 +29,6 @@
 //! source on a page-mapped platform (so retirement, GC pressure and the
 //! recovery replay are real, not analytic), reporting steady-state
 //! per-class tail latencies for every degradation point.
-//! [`fault_campaign_warm`] is the same study executed through per-point
-//! warm-start images — byte-identical output by the fork-equivalence
-//! contract, which the fault-scenario equivalence suite asserts.
 //!
 //! # Determinism
 //!
@@ -40,8 +37,11 @@
 //! counters, retirement is a threshold on the erase counter, and the
 //! power-loss trigger is an exact command index. Everything flows from
 //! `config.seed` exactly as the determinism contract on [`Explorer`]
-//! requires, so two runs of the campaign — sequential, parallel, cold or
-//! warm-started — print identical bytes.
+//! requires, so two runs of the campaign — sequential or parallel — print
+//! identical bytes. Fault sweeps may also be warm-started
+//! ([`Explorer::warm_start`]): the power-loss trigger keys on the command
+//! cursor, which is snapshot state, so a trigger inside the warmup fires
+//! while the image is built and one after it fires in the forked run.
 
 use crate::config::{FaultConfig, FtlMode, SsdConfig};
 use crate::explorer::{endurance_axis, Axis, Explorer, Sweep, SweepError, SweepPoint};
@@ -237,49 +237,6 @@ pub fn fault_campaign(
     commands_per_point: u64,
     warmup: SteadyStateCutoff,
 ) -> Result<FaultStudy, SweepError> {
-    fault_campaign_impl(base, commands_per_point, warmup, SteadyStateCutoff::None)
-}
-
-/// [`fault_campaign`] with warm-start execution: each scenario's warmup
-/// prefix (the `warmup` cutoff) is simulated once, captured as a
-/// [`Snapshot`](crate::Snapshot), and the measured run forks from the
-/// image ([`Explorer::warm_start`]). The study is **byte-identical** to the
-/// cold [`fault_campaign`] — same table, same JSON — which
-/// `experiments -- faults --warm-start` and the fault-scenario equivalence
-/// suite both assert. In particular a power-loss point whose trigger falls
-/// inside the warmup prefix fires while building the image, and one whose
-/// trigger falls after the capture fires in the forked run: the command
-/// cursor the trigger keys on is snapshot state.
-///
-/// # Errors
-///
-/// Returns [`SweepError::InvalidPoint`] if `base` does not validate.
-pub fn fault_campaign_warm(
-    base: &SsdConfig,
-    commands_per_point: u64,
-    warmup: SteadyStateCutoff,
-) -> Result<FaultStudy, SweepError> {
-    fault_campaign_impl(base, commands_per_point, warmup, warmup)
-}
-
-/// The churn workload of the FTL-facing axes: write-heavy zipfian traffic
-/// over a footprint small enough that the run overwrites it several times,
-/// so garbage collection (and therefore retirement and mid-GC power loss)
-/// actually happens within the swept command budget.
-fn gc_churn(seed: u64, commands: u64) -> ZipfianWorkload {
-    ZipfianWorkload::new(0.9, seed)
-        .read_fraction(0.05)
-        .footprint_bytes(2 << 20)
-        .command_count(commands)
-        .with_label("gc-churn")
-}
-
-fn fault_campaign_impl(
-    base: &SsdConfig,
-    commands_per_point: u64,
-    warmup: SteadyStateCutoff,
-    warm_start: SteadyStateCutoff,
-) -> Result<FaultStudy, SweepError> {
     let mut cfg = base.clone();
     cfg.ftl_mode = FtlMode::PageMapped;
     cfg.faults = FaultConfig::healthy();
@@ -288,9 +245,7 @@ fn fault_campaign_impl(
     let churn = gc_churn(cfg.seed, commands_per_point);
 
     let sub = |axes: Vec<Axis>, source: &dyn CommandSource| -> Result<Sweep, SweepError> {
-        let mut explorer = Explorer::new(cfg.clone())
-            .steady_state(warmup)
-            .warm_start(warm_start);
+        let mut explorer = Explorer::new(cfg.clone()).steady_state(warmup);
         for axis in axes {
             explorer = explorer.over(axis);
         }
@@ -326,6 +281,18 @@ fn fault_campaign_impl(
     Ok(FaultStudy {
         sweep: Sweep { axes, points },
     })
+}
+
+/// The churn workload of the FTL-facing axes: write-heavy zipfian traffic
+/// over a footprint small enough that the run overwrites it several times,
+/// so garbage collection (and therefore retirement and mid-GC power loss)
+/// actually happens within the swept command budget.
+fn gc_churn(seed: u64, commands: u64) -> ZipfianWorkload {
+    ZipfianWorkload::new(0.9, seed)
+        .read_fraction(0.05)
+        .footprint_bytes(2 << 20)
+        .command_count(commands)
+        .with_label("gc-churn")
 }
 
 #[cfg(test)]
@@ -403,12 +370,25 @@ mod tests {
 
     #[test]
     fn warm_started_campaign_is_byte_identical_to_cold() {
-        let base = campaign_base();
+        // Warm start under the campaign's stateful faults: the endurance
+        // axis ages each platform in a prepare hook, and the power-loss
+        // triggers fall inside the 32-command warmup (16) and after the
+        // capture (96), where only the forked run can fire them.
+        let mut cfg = campaign_base();
+        cfg.ftl_mode = FtlMode::PageMapped;
         let warmup = SteadyStateCutoff::Commands(32);
-        let cold = fault_campaign(&base, 192, warmup).unwrap();
-        let warm = fault_campaign_warm(&base, 192, warmup).unwrap();
-        assert_eq!(cold.to_table(), warm.to_table());
-        assert_eq!(cold.to_json(), warm.to_json());
+        let churn = gc_churn(cfg.seed, 192);
+        let explorer = Explorer::new(cfg)
+            .steady_state(warmup)
+            .over(endurance_axis(&[0.0, 0.8]))
+            .over(power_loss_axis(&[u64::MAX, 16, 96]));
+        let cold = explorer.run(&churn).unwrap();
+        let warm = explorer.warm_start(warmup).run_parallel(&churn).unwrap();
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+
+        let report = |i: usize| format!("{:?}", warm.points[i].report);
+        assert_eq!(warm.points[2].value("power_loss"), Some("96"));
+        assert_ne!(report(0), report(2), "the post-capture trigger must fire");
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! * [`metrics::tail_latency_study`] — steady-state p50/p95/p99/p99.9 per
 //!   command class across the generative workload suite (zipfian skew,
 //!   bursty arrivals, mixed block sizes, read-modify-write);
-//! * [`speed::measure_kcps_sweep`] — the simulation-speed study of Fig. 6
-//!   over the Table III configurations ([`configs::table3_configs`]);
+//! * [`configs::table3_configs`] — the configurations of the Fig. 6
+//!   simulation-speed study, which the harness crates time (this crate
+//!   never reads the host clock);
 //! * [`configs::ocz_vertex_like`] — the validation configuration of Fig. 2.
 //!
 //! # Quick start
@@ -59,7 +60,6 @@ pub mod parallel;
 pub mod report;
 pub mod session;
 pub mod snapshot;
-pub mod speed;
 pub mod ssd;
 
 pub use config::{
@@ -71,20 +71,15 @@ pub use explorer::{
     HostSweepPoint, Sweep, SweepError, SweepJob, SweepPoint, WearoutPoint,
 };
 pub use faults::{
-    fault_campaign, fault_campaign_warm, power_loss_axis, read_disturb_axis, retention_axis,
-    retirement_axis, FaultStudy,
+    fault_campaign, power_loss_axis, read_disturb_axis, retention_axis, retirement_axis, FaultStudy,
 };
 pub use layout::{PageAllocator, PageTarget};
 pub use metrics::{
-    tail_latency_study, tail_latency_study_warm, ClassHistograms, CommandClass, LatencyHistogram,
-    SteadyStateCutoff, TailStudy, TailSummary,
+    tail_latency_study, ClassHistograms, CommandClass, LatencyHistogram, SteadyStateCutoff,
+    TailStudy, TailSummary,
 };
 pub use parallel::ParallelExecutor;
 pub use report::{PerfReport, UtilizationBreakdown};
 pub use session::{CommandRecord, CompletionLog, Probe, SessionSnapshot, SimSession};
 pub use snapshot::{Snapshot, StateInventoryEntry, SNAPSHOT_VERSION, STATE_INVENTORY};
-pub use speed::{
-    measure_fig6_baseline, measure_kcps, measure_kcps_sweep, measure_sweep_speedup,
-    measure_sweep_speedups, ParallelSpeed, SpeedBaseline, SpeedPoint, SweepSpeedup,
-};
 pub use ssd::Ssd;

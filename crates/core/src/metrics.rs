@@ -906,34 +906,6 @@ pub fn tail_latency_study(
     commands_per_workload: u64,
     warmup: SteadyStateCutoff,
 ) -> Result<TailStudy, SweepError> {
-    tail_study_impl(base, commands_per_workload, warmup, SteadyStateCutoff::None)
-}
-
-/// [`tail_latency_study`] with warm-start execution: each workload's
-/// warmup prefix (the `warmup` cutoff) is simulated once, captured as a
-/// [`Snapshot`](crate::Snapshot), and every run of that workload's
-/// platform forks from the image ([`Explorer::warm_start`]). The study is
-/// **byte-identical** to the cold [`tail_latency_study`] — same table,
-/// same JSON — which `experiments -- tails --warm-start` and the
-/// warm-start equivalence suite both assert.
-///
-/// # Errors
-///
-/// Returns [`SweepError::InvalidPoint`] if `base` does not validate.
-pub fn tail_latency_study_warm(
-    base: &SsdConfig,
-    commands_per_workload: u64,
-    warmup: SteadyStateCutoff,
-) -> Result<TailStudy, SweepError> {
-    tail_study_impl(base, commands_per_workload, warmup, warmup)
-}
-
-fn tail_study_impl(
-    base: &SsdConfig,
-    commands_per_workload: u64,
-    warmup: SteadyStateCutoff,
-    warm_start: SteadyStateCutoff,
-) -> Result<TailStudy, SweepError> {
     let footprint = 256 << 20;
     let zipf = ZipfianWorkload::new(0.99, base.seed)
         .command_count(commands_per_workload)
@@ -952,9 +924,7 @@ fn tail_study_impl(
         .updates(commands_per_workload / 2)
         .footprint_bytes(footprint);
 
-    let explorer = Explorer::new(base.clone())
-        .steady_state(warmup)
-        .warm_start(warm_start);
+    let explorer = Explorer::new(base.clone()).steady_state(warmup);
     let sweep = explorer.run_workloads(&[&zipf, &bursty, &mixed, &rmw])?;
     Ok(TailStudy { sweep })
 }

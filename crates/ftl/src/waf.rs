@@ -47,13 +47,10 @@ impl WorkloadMix {
 pub struct WafModel {
     /// Spare factor: `(physical - logical) / logical` capacity.
     pub over_provisioning: f64,
-    /// Fraction of logical capacity actually occupied by valid data (hot
-    /// data footprint), 0–1. A lightly filled drive amplifies less.
-    pub occupancy: f64,
 }
 
 impl WafModel {
-    /// A model with the given over-provisioning and full occupancy.
+    /// A model with the given over-provisioning.
     ///
     /// # Panics
     ///
@@ -63,10 +60,7 @@ impl WafModel {
             over_provisioning.is_finite() && over_provisioning > 0.0,
             "over-provisioning must be positive"
         );
-        WafModel {
-            over_provisioning,
-            occupancy: 1.0,
-        }
+        WafModel { over_provisioning }
     }
 
     /// The ~7 % over-provisioning of consumer drives such as the OCZ Vertex
@@ -75,28 +69,16 @@ impl WafModel {
         WafModel::new(0.07)
     }
 
-    /// The ~28 % over-provisioning typical of enterprise drives.
-    pub fn enterprise_28pct() -> Self {
-        WafModel::new(0.28)
-    }
-
-    /// Sets the valid-data occupancy (clamped to `[0.05, 1.0]`).
-    pub fn with_occupancy(mut self, occupancy: f64) -> Self {
-        self.occupancy = occupancy.clamp(0.05, 1.0);
-        self
-    }
-
     /// Write amplification of a *uniformly random* write stream under greedy
     /// garbage collection.
     ///
     /// Uses the closed-form approximation of the greedy/LRU collector on
-    /// uniform traffic: with an effective spare factor
-    /// `ρ = over_provisioning / occupancy`, the victim block still holds
-    /// about `1 / (1 + 2ρ)` valid data when reclaimed, giving
-    /// `WAF ≈ (1 + 2ρ) / (2ρ)`· ... simplified here to the standard
-    /// `(1 + ρ) / (2 ρ)` worst-case greedy bound, floored at 1.
+    /// uniform traffic: with spare factor `ρ = over_provisioning`, the
+    /// victim block still holds about `1 / (1 + 2ρ)` valid data when
+    /// reclaimed, giving `WAF ≈ (1 + 2ρ) / (2ρ)`· ... simplified here to the
+    /// standard `(1 + ρ) / (2 ρ)` worst-case greedy bound, floored at 1.
     pub fn random_waf(&self) -> f64 {
-        let rho = self.over_provisioning / self.occupancy.max(0.05);
+        let rho = self.over_provisioning;
         ((1.0 + rho) / (2.0 * rho)).max(1.0)
     }
 
@@ -106,25 +88,6 @@ impl WafModel {
     pub fn waf(&self, mix: WorkloadMix) -> f64 {
         let r = mix.random_fraction.clamp(0.0, 1.0);
         1.0 + r * (self.random_waf() - 1.0)
-    }
-
-    /// Number of *physical* page writes needed to serve `host_pages` host
-    /// page writes (rounded to the nearest whole page, at least
-    /// `host_pages`).
-    pub fn physical_pages(&self, host_pages: u64, mix: WorkloadMix) -> u64 {
-        ((host_pages as f64 * self.waf(mix)).round() as u64).max(host_pages)
-    }
-
-    /// Extra page relocations (reads + writes performed by the garbage
-    /// collector) per host page write.
-    pub fn gc_relocations_per_write(&self, mix: WorkloadMix) -> f64 {
-        (self.waf(mix) - 1.0).max(0.0)
-    }
-
-    /// Block erases per host page write, for a block of `pages_per_block`
-    /// pages: every `pages_per_block / WAF` host writes consume one block.
-    pub fn erases_per_write(&self, mix: WorkloadMix, pages_per_block: u32) -> f64 {
-        self.waf(mix) / pages_per_block.max(1) as f64
     }
 }
 
@@ -142,7 +105,6 @@ mod tests {
     fn sequential_traffic_does_not_amplify() {
         let m = WafModel::consumer_7pct();
         assert!((m.waf(WorkloadMix::sequential()) - 1.0).abs() < 1e-12);
-        assert_eq!(m.physical_pages(1000, WorkloadMix::sequential()), 1000);
     }
 
     #[test]
@@ -156,7 +118,7 @@ mod tests {
     #[test]
     fn more_over_provisioning_means_less_amplification() {
         let consumer = WafModel::consumer_7pct().random_waf();
-        let enterprise = WafModel::enterprise_28pct().random_waf();
+        let enterprise = WafModel::new(0.28).random_waf();
         assert!(enterprise < consumer);
         assert!(enterprise >= 1.0);
     }
@@ -169,30 +131,6 @@ mod tests {
             let w = m.waf(WorkloadMix::mixed(i as f64 / 10.0));
             assert!(w >= prev);
             prev = w;
-        }
-    }
-
-    #[test]
-    fn lower_occupancy_reduces_amplification() {
-        let full = WafModel::consumer_7pct();
-        let half = WafModel::consumer_7pct().with_occupancy(0.5);
-        assert!(half.random_waf() < full.random_waf());
-    }
-
-    #[test]
-    fn gc_relocations_and_erases_track_waf() {
-        let m = WafModel::consumer_7pct();
-        let mix = WorkloadMix::random();
-        assert!((m.gc_relocations_per_write(mix) - (m.waf(mix) - 1.0)).abs() < 1e-12);
-        let erases = m.erases_per_write(mix, 128);
-        assert!(erases > 0.0 && erases < 1.0);
-    }
-
-    #[test]
-    fn physical_pages_never_less_than_host_pages() {
-        let m = WafModel::enterprise_28pct();
-        for pages in [1u64, 10, 1_000, 1_000_000] {
-            assert!(m.physical_pages(pages, WorkloadMix::random()) >= pages);
         }
     }
 

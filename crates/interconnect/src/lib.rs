@@ -6,8 +6,7 @@
 //! bus with 16 master and 16 slave ports: each transfer is split into
 //! INCR16/8/4 and single bursts, every burst pays its arbitration and
 //! address cycles, slaves may add wait states, and the bus grants transfers
-//! in the order they are reserved. The Multi-Layer AHB variant the paper
-//! mentions as a possible evolution is provided too.
+//! in the order they are reserved.
 //!
 //! # Example
 //!
@@ -23,7 +22,5 @@
 #![warn(rust_2018_idioms)]
 
 pub mod ahb;
-pub mod multilayer;
 
 pub use ahb::{AhbBus, AhbConfig, AhbError, BurstKind, BusStats, Transfer};
-pub use multilayer::MultiLayerAhb;

@@ -3,7 +3,7 @@
 //! Rendering is pure string building (`fmt::Write` into a caller-owned
 //! buffer, the same idiom as `Sweep::to_table`): the library never prints,
 //! which keeps `ssdx-lint` clean under its own `no-print-in-lib` rule. The
-//! JSON encoder is hand-rolled like `SpeedBaseline::to_json`: `ssdx-lint`
+//! JSON encoder is hand-rolled like `TailStudy::to_json`: `ssdx-lint`
 //! stays dependency-free.
 
 use std::fmt::Write as _;

@@ -4,7 +4,7 @@
 //! byte-identical replay ([`Explorer`]'s determinism contract), hash-order
 //! independence (`ssdx_sim::hash::FastHashMap` everywhere a map touches
 //! simulation state), `unsafe` confined to `crates/alloctrack`, wall-clock
-//! reads confined to the speed-measurement harness. This crate checks them
+//! reads confined to the harness crates. This crate checks them
 //! mechanically: a hand-rolled lexer masks strings and comments, a
 //! declarative rule/scope table ([`rules::RULES`]) says which contract
 //! covers which paths, and violations render as rustc-style diagnostics

@@ -4,7 +4,7 @@
 //! platform depends on — byte-identical replay (`Explorer`'s determinism
 //! contract), hash-order independence (`ssdx_sim::hash::FastHashMap`),
 //! `unsafe` confinement (`crates/alloctrack`), wall-clock confinement
-//! (`crates/core/src/speed.rs`). The full mapping from contract to
+//! (the harness crates). The full mapping from contract to
 //! enforcement lives in ARCHITECTURE.md ("Invariants & enforcement"), and
 //! CI greps that every rule named in [`RULES`] appears there.
 //!
@@ -103,17 +103,14 @@ pub const RULES: &[RuleSpec] = &[
         name: "no-wall-clock",
         contract: "reproducibility: simulation code never observes host time",
         help: "simulated time comes from ssdx_sim::SimTime; wall-clock reads belong in \
-               crates/core/src/speed.rs or the bench crate",
+               the harness layer (the bench crate, the load generator), never in the platform",
         patterns: &["Instant", "SystemTime"],
         include: EVERYWHERE,
         exempt: &[
             (
-                "crates/core/src/speed.rs",
-                "the speed-measurement harness exists to read the wall clock",
-            ),
-            (
                 "crates/bench",
-                "benches and the experiments binary time real executions by design",
+                "the KCPS and speedup meters, the benches and the experiments binary time \
+                 real executions by design",
             ),
             (
                 "crates/server/src/load.rs",

@@ -1,5 +1,5 @@
 //@ path: crates/nand/src/fixture.rs
-//! Fixture: wall-clock reads are flagged outside the speed harness.
+//! Fixture: wall-clock reads are flagged outside the harness crates.
 
 use std::time::Instant; //~ ERROR no-wall-clock
 use std::time::SystemTime; //~ ERROR no-wall-clock

@@ -378,25 +378,6 @@ impl<'a> Decoder<'a> {
         Ok(len as usize)
     }
 
-    /// Reads a sequence length prefix that must equal `expected` — for a
-    /// container whose size is construction-derived, so the image merely
-    /// confirms it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on truncation or a mismatched length.
-    pub fn get_exact_len(&mut self, expected: usize) -> Result<(), DecodeError> {
-        let start = self.pos;
-        let len = self.get_u64()?;
-        if len != expected as u64 {
-            return Err(DecodeError::Invalid {
-                offset: start,
-                what: "sequence length mismatch",
-            });
-        }
-        Ok(())
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     ///
     /// # Errors
@@ -558,15 +539,6 @@ mod tests {
         assert!(matches!(err, DecodeError::Invalid { .. }));
         // get_str goes through the same guard.
         assert!(Decoder::new(&bytes).get_str().is_err());
-    }
-
-    #[test]
-    fn exact_len_enforces_construction_derived_sizes() {
-        let mut enc = Encoder::new();
-        enc.put_len(4);
-        let bytes = enc.finish();
-        assert!(Decoder::new(&bytes).get_exact_len(4).is_ok());
-        assert!(Decoder::new(&bytes).get_exact_len(5).is_err());
     }
 
     #[test]

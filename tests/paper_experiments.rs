@@ -10,7 +10,7 @@
 use ssdexplorer::core::configs::{
     fig5_config, ocz_vertex_like, table2_configs, table3_configs, OCZ_REFERENCE_MBPS,
 };
-use ssdexplorer::core::{explorer, speed, HostInterfaceConfig, Ssd, SsdConfig};
+use ssdexplorer::core::{explorer, HostInterfaceConfig, Ssd, SsdConfig};
 use ssdexplorer::ecc::EccScheme;
 use ssdexplorer::hostif::{AccessPattern, Workload};
 
@@ -189,24 +189,6 @@ fn fig5_shape_adaptive_bch_wins_reads_until_end_of_life() {
     }
     // Wear slows writes down.
     assert!(fixed[2].write_mbps < fixed[0].write_mbps);
-}
-
-#[test]
-fn fig6_shape_simulation_speed_scales_inversely_with_resources() {
-    let configs: Vec<SsdConfig> = table3_configs()
-        .into_iter()
-        .filter(|c| matches!(c.name.as_str(), "C1" | "C4" | "C8"))
-        .map(steady_state)
-        .collect();
-    let workload = sw_workload(1_024);
-    let points = speed::measure_kcps_sweep(&configs, &workload);
-    assert_eq!(points.len(), 3);
-    // More instantiated resources -> fewer simulated kilocycles per second.
-    assert!(
-        points[0].kcps > points[1].kcps && points[1].kcps > points[2].kcps,
-        "kcps must decrease: {:?}",
-        points.iter().map(|p| p.kcps).collect::<Vec<_>>()
-    );
 }
 
 #[test]

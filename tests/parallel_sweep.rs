@@ -1,14 +1,14 @@
 //! Integration tests for the parallel sweep executor: a parallel `Sweep`
 //! must be byte-identical to the sequential one at every thread count, and
-//! the speedup meter must report self-consistent numbers.
+//! the harness's speedup meter must report self-consistent numbers.
 
 use proptest::prelude::*;
 use ssdexplorer::core::{
-    explorer, measure_sweep_speedup, Axis, CachePolicy, Explorer, ParallelExecutor, SsdConfig,
-    Sweep,
+    explorer, Axis, CachePolicy, Explorer, ParallelExecutor, SsdConfig, Sweep,
 };
 use ssdexplorer::hostif::{source_fn, AccessPattern, HostCommand, HostOp, Workload};
 use ssdexplorer::sim::SimTime;
+use ssdx_bench::speed::measure_sweep_speedups;
 
 fn base_config() -> SsdConfig {
     SsdConfig::builder("parallel-base")
@@ -103,7 +103,9 @@ fn parallel_execution_works_with_setup_hooks_and_custom_sources() {
 fn speedup_meter_reports_identity_and_positive_times() {
     let explorer = eight_point_explorer();
     let w = workload(64);
-    let speedup = measure_sweep_speedup(&explorer, &w, 4).unwrap();
+    let rows = measure_sweep_speedups(&explorer, &w, &[4]).unwrap();
+    assert_eq!(rows.len(), 1);
+    let speedup = &rows[0];
     assert!(
         speedup.identical,
         "parallel sweep must match sequential byte for byte"
