@@ -26,7 +26,7 @@
 //! of this machine. The repository's simulation-speed baseline and CI gate
 //! is perfbench's `fig6-seqwrite` workload, recorded in `BENCH_fig6.json`.
 
-use ssdx_bench::speed;
+use ssdx_bench::{sequential_write_workload, speed, steady_state};
 use ssdx_core::configs::{
     fig5_config, ocz_vertex_like, table2_configs, table3_configs, OCZ_REFERENCE_MBPS,
 };
@@ -35,7 +35,7 @@ use ssdx_core::{
     SteadyStateCutoff,
 };
 use ssdx_ecc::EccScheme;
-use ssdx_hostif::{AccessPattern, Workload};
+use ssdx_hostif::Workload;
 use std::fmt::Write as _;
 
 /// Every subcommand `main` accepts, as printed in the usage line.
@@ -50,20 +50,6 @@ fn fig2_commands() -> u64 {
 
 fn sweep_commands() -> u64 {
     24_576
-}
-
-fn sweep_workload() -> Workload {
-    Workload::builder(AccessPattern::SequentialWrite)
-        .command_count(sweep_commands())
-        .build()
-}
-
-/// Shrinks the per-buffer cache so that the sweep workload is much larger
-/// than the aggregate write cache and the reported throughput reflects the
-/// steady state rather than the cache-fill transient.
-fn steady_state(mut cfg: SsdConfig) -> SsdConfig {
-    cfg.dram_buffer_capacity = 128 * 1024;
-    cfg
 }
 
 fn section(out: &mut String, title: &str) {
@@ -141,9 +127,12 @@ fn print_table3(out: &mut String) {
 fn fig3_sata_sweep(out: &mut String) {
     section(out, "Fig. 3 — Sequential Write, SATA II host interface");
     let configs: Vec<SsdConfig> = table2_configs().into_iter().map(steady_state).collect();
-    let sweep =
-        explorer::host_interface_study(HostInterfaceConfig::Sata2, &configs, &sweep_workload())
-            .expect("table configurations validate");
+    let sweep = explorer::host_interface_study(
+        HostInterfaceConfig::Sata2,
+        &configs,
+        &sequential_write_workload(sweep_commands()),
+    )
+    .expect("table configurations validate");
     out.push_str(&sweep.to_table());
     if let Some(best) = sweep.optimal_design_point(0.95) {
         let _ = writeln!(
@@ -173,7 +162,7 @@ fn fig4_pcie_sweep(out: &mut String) {
     let sweep = explorer::host_interface_study(
         HostInterfaceConfig::nvme_gen2_x8(),
         &configs,
-        &sweep_workload(),
+        &sequential_write_workload(sweep_commands()),
     )
     .expect("table configurations validate");
     out.push_str(&sweep.to_table());
@@ -237,11 +226,8 @@ fn fig6_simulation_speed(out: &mut String) {
         out,
         "Fig. 6 — simulation speed (KCPS) across the Table III configurations",
     );
-    let workload = Workload::builder(AccessPattern::SequentialWrite)
-        .command_count(8_192)
-        .build();
     let configs: Vec<SsdConfig> = table3_configs().into_iter().map(steady_state).collect();
-    let points = speed::measure_kcps_sweep(&configs, &workload);
+    let points = speed::measure_kcps_sweep(&configs, &sequential_write_workload(8_192));
     let _ = writeln!(
         out,
         "{:<6} {:<34} {:>10} {:>12} {:>12}",
@@ -364,7 +350,7 @@ fn faults_suite(args: &[String]) -> i32 {
 fn cache_policy_note(out: &mut String) {
     // Small sanity print showing the two DRAM-buffer policies side by side on
     // the default platform, mirroring the discussion in Section IV-A.
-    let workload = sweep_workload();
+    let workload = sequential_write_workload(sweep_commands());
     for policy in [CachePolicy::WriteCache, CachePolicy::NoCache] {
         let mut cfg = steady_state(table2_configs().remove(5));
         cfg.cache_policy = policy;

@@ -552,12 +552,12 @@ impl Ssd {
     /// downstream is assumed infinitely fast.
     pub fn host_dram_only_mbps(&mut self, workload: &Workload) -> f64 {
         self.reset_activity();
-        let commands = workload.commands();
         let queue_depth = self.config.queue_depth() as usize;
         let mut window: BinaryHeap<Reverse<SimTime>> = BinaryHeap::new();
         let mut last = SimTime::ZERO;
         let mut bytes = 0u64;
-        for cmd in &commands {
+        for index in 0..workload.len() {
+            let cmd = workload.command(index);
             let mut admit = cmd.issue_at;
             if window.len() >= queue_depth {
                 if let Some(Reverse(earliest)) = window.pop() {
@@ -600,12 +600,12 @@ impl Ssd {
         let waf = self.config.waf.waf(mix);
         let page_bytes = self.config.nand.geometry.page_size_bytes;
         let raw_page_bytes = self.config.nand.geometry.raw_page_bytes();
-        let commands = workload.commands();
         let is_write = workload.pattern.op() == HostOp::Write;
         let mut waf_carry = 0.0f64;
         let mut last = SimTime::ZERO;
         let mut bytes = 0u64;
-        for cmd in &commands {
+        for index in 0..workload.len() {
+            let cmd = workload.command(index);
             let buf = (cmd.id % self.dram.len() as u64) as usize;
             let pages = cmd.bytes.div_ceil(page_bytes).max(1);
             let mut phys_pages = pages;

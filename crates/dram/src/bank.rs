@@ -142,16 +142,28 @@ impl Bank {
         Ok(())
     }
 
-    /// Accounts `count` row hits to the already-open row in one step, the
-    /// last of which leaves the bank busy until `until` — the closed-form
-    /// equivalent of `count` hit-then-occupy pairs whose bursts each start
-    /// after the bank's previous one ended.
+    /// Puts the bank in `state`, ready at `ready_at`, and adds
+    /// `(hits, misses, conflicts)` to its outcome counts: how a buffer writes
+    /// back what it held for all of its banks at once.
     #[inline]
-    pub(crate) fn hit_run(&mut self, count: u64, until: SimTime) {
-        debug_assert!(matches!(self.state, BankState::ActiveRow(_)));
-        debug_assert!(until >= self.ready_at);
-        self.hits += count;
-        self.ready_at = until;
+    pub(crate) fn settle(
+        &mut self,
+        state: BankState,
+        ready_at: SimTime,
+        (hits, misses, conflicts): (u64, u64, u64),
+    ) {
+        self.state = state;
+        self.ready_at = ready_at;
+        self.hits += hits;
+        self.misses += misses;
+        self.conflicts += conflicts;
+    }
+
+    /// Adds one row hit without touching the row state or the ready
+    /// instant, which the caller holds elsewhere.
+    #[inline]
+    pub(crate) fn add_hit(&mut self) {
+        self.hits += 1;
     }
 
     /// Marks the bank busy until `until` (column access + data burst).

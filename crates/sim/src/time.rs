@@ -165,8 +165,24 @@ impl SimTime {
             factor.is_finite() && factor >= 0.0,
             "scale factor must be finite and non-negative, got {factor}"
         );
-        SimTime((self.0 as f64 * factor).round() as u64)
+        SimTime(round_non_negative(self.0 as f64 * factor))
     }
+}
+
+/// Rounds a non-negative `x` to the nearest integer, halves away from zero,
+/// exactly as `x.round() as u64` does (saturating at `u64::MAX` for values
+/// of 2^64 and above, and for infinity), without the call into a software
+/// `round` that `f64::round` compiles to on the baseline x86-64 target.
+#[inline]
+fn round_non_negative(x: f64) -> u64 {
+    // Every f64 from 2^52 up is already an integer.
+    if x >= 4_503_599_627_370_496.0 {
+        return x as u64;
+    }
+    let whole = x as u64;
+    // Exact: `whole as f64` is exact below 2^52, and `x` lies within a
+    // factor of two of it (or `whole` is zero), so the difference is exact.
+    whole + (x - whole as f64 >= 0.5) as u64
 }
 
 impl Add for SimTime {
@@ -354,6 +370,7 @@ pub fn transfer_time(bytes: u64, bytes_per_sec: u64) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_and_accessors_round_trip() {
@@ -424,6 +441,79 @@ mod tests {
         assert_eq!(t.scale(0.5).as_ps(), 50_000);
         assert_eq!(t.scale(1.0), t);
         assert_eq!(t.scale(0.0), SimTime::ZERO);
+    }
+
+    /// `scale` against `f64::round`, on the product it rounds.
+    fn scale_matches_round(ps: u64, factor: f64) -> Result<(), String> {
+        let got = SimTime::from_ps(ps).scale(factor).as_ps();
+        let want = (ps as f64 * factor).round() as u64;
+        if got == want {
+            Ok(())
+        } else {
+            Err(format!("{ps} ps x {factor:e}: {got} != {want}"))
+        }
+    }
+
+    #[test]
+    fn scale_rounds_ties_and_extremes_like_f64_round() {
+        let two_52 = 1u64 << 52;
+        let cases: &[(u64, f64)] = &[
+            // Ties at k + 0.5 round away from zero; just below them, down.
+            (1, 0.5),
+            (3, 0.5),
+            (5, 0.5),
+            (2_000_001, 0.5),
+            (1, 0.499_999_999_999_999_94),
+            (1, 1.5),
+            (1, 2.5),
+            // Either side of 2^52, where f64 stops holding fractions.
+            (two_52 - 1, 1.0),
+            (two_52 - 1, 1.5),
+            (two_52 + 1, 1.0),
+            (two_52 - 3, 0.5),
+            (2 * two_52 + 1, 0.5),
+            (1 << 53, 1.0),
+            (1 << 63, 1.0),
+            (u64::MAX, 1.0),
+            // At and above 2^64, and up to infinity: `as u64` saturates.
+            (1 << 63, 2.0),
+            (u64::MAX, 3.0),
+            (u64::MAX, f64::MAX),
+            // Subnormal products and factors, and a negative zero factor.
+            (1, f64::MIN_POSITIVE / 4.0),
+            (u64::MAX, 5e-324),
+            (0, f64::MAX),
+            (7, -0.0),
+            (0, 0.0),
+        ];
+        for &(ps, factor) in cases {
+            scale_matches_round(ps, factor).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn scale_rounds_like_f64_round(
+            ps in any::<u64>(),
+            small in 0u64..1_000_000,
+            factor in 0.0f64..4.0,
+            bits in any::<u64>(),
+            twice in 0u64..(1 << 54),
+        ) {
+            // Ordinary factors, on large and small durations.
+            prop_assert_eq!(scale_matches_round(ps, factor), Ok(()));
+            prop_assert_eq!(scale_matches_round(small, factor), Ok(()));
+            // Every non-negative finite factor, subnormals included.
+            let any = f64::from_bits(bits >> 1);
+            if any.is_finite() {
+                prop_assert_eq!(scale_matches_round(small, any), Ok(()));
+                prop_assert_eq!(scale_matches_round(ps, any), Ok(()));
+            }
+            // Exact halves up to 2^53: every tie there rounds up.
+            prop_assert_eq!(scale_matches_round(twice, 0.5), Ok(()));
+        }
     }
 
     #[test]
