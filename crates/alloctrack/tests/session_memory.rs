@@ -1,6 +1,6 @@
 //! Pins that a session's memory does not grow with its run length: opening
 //! a session ([`Ssd::session`], [`Ssd::into_session`]), forking one from an
-//! image ([`SimSession::fork`]) and copying an owned one
+//! image ([`SimSession::fork`]) and copying an owned or a borrowing one
 //! ([`SimSession::duplicate`]) allocate the same number of bytes for a
 //! 400 000-command stream as for a 50 000-command one. A session reads its
 //! commands from the source by index; none of these paths copies the
@@ -71,20 +71,22 @@ fn config(ftl: FtlMode) -> SsdConfig {
         .unwrap()
 }
 
-/// Bytes allocated by `session`, `fork`, `into_session` and an owned
-/// `duplicate` over `source`.
-fn footprints<S: CommandSource + Clone + 'static>(ftl: FtlMode, source: S) -> [u64; 4] {
+/// Bytes allocated by `session`, `fork`, `into_session`, an owned
+/// `duplicate` and a borrowing `duplicate` over `source`.
+fn footprints<S: CommandSource + Clone + 'static>(ftl: FtlMode, source: S) -> [u64; 5] {
     let _ = source.bounds();
     let mut ssd = Ssd::new(config(ftl));
     let (open, session) = bytes_during(|| ssd.session(&source));
     drop(session);
 
-    let image = {
+    let (image, borrowed) = {
         let mut session = ssd.session(&source);
         for _ in 0..SPLIT {
             session.step();
         }
-        session.capture()
+        let (borrowed, copy) = bytes_during(|| session.duplicate());
+        assert_eq!(copy.completed(), SPLIT);
+        (session.capture(), borrowed)
     };
     let mut target = Ssd::new(config(ftl));
     let (fork, forked) = bytes_during(|| SimSession::fork(&mut target, &source, &image));
@@ -98,7 +100,7 @@ fn footprints<S: CommandSource + Clone + 'static>(ftl: FtlMode, source: S) -> [u
     }
     let (duplicate, copy) = bytes_during(|| owned.duplicate());
     assert_eq!(copy.completed(), SPLIT);
-    [open, fork, into, duplicate]
+    [open, fork, into, duplicate, borrowed]
 }
 
 fn sequential(commands: u64) -> Workload {
@@ -124,7 +126,7 @@ fn page_mapped_sessions_allocate_the_same_bytes_for_any_run_length() {
     let long = footprints(FtlMode::PageMapped, sequential(LONG));
     assert_eq!(
         short, long,
-        "[session, fork, into_session, duplicate] bytes grew with the run length"
+        "[session, fork, into_session, duplicate, borrowed duplicate] bytes grew with the run length"
     );
 }
 
@@ -134,7 +136,7 @@ fn zipfian_sessions_allocate_the_same_bytes_for_any_run_length() {
     let long = footprints(FtlMode::WafAbstraction, zipfian(LONG));
     assert_eq!(
         short, long,
-        "[session, fork, into_session, duplicate] bytes grew with the run length"
+        "[session, fork, into_session, duplicate, borrowed duplicate] bytes grew with the run length"
     );
     // A copied stream alone would be 32 B per command.
     for bytes in long {

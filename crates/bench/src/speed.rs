@@ -151,7 +151,6 @@ where
 mod tests {
     use super::*;
     use crate::sequential_write_workload;
-    use ssdx_core::configs::table3_configs;
     use ssdx_core::Axis;
 
     #[test]
@@ -197,15 +196,10 @@ mod tests {
 
     #[test]
     fn fig6_shape_simulation_speed_scales_inversely_with_resources() {
-        let configs: Vec<SsdConfig> = table3_configs()
+        let points: Vec<SpeedPoint> = crate::fig6()
             .into_iter()
-            .filter(|c| matches!(c.name.as_str(), "C1" | "C4" | "C8"))
-            .map(|mut cfg| {
-                cfg.dram_buffer_capacity = 64 * 1024;
-                cfg
-            })
+            .filter(|p| matches!(p.config_name.as_str(), "C1" | "C4" | "C8"))
             .collect();
-        let points = measure_kcps_sweep(&configs, &sequential_write_workload(1_024));
         assert_eq!(points.len(), 3);
         // More instantiated resources -> fewer simulated kilocycles per second.
         assert!(

@@ -6,9 +6,19 @@ use std::process::{Command, Output};
 
 const BIN: &str = env!("CARGO_BIN_EXE_experiments");
 
-const SUBCOMMANDS: [&str; 11] = [
-    "all", "fig2", "fig3", "fig4", "fig5", "fig6", "speedup", "tails", "faults", "tables",
+const SUBCOMMANDS: [&str; 12] = [
+    "all",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "speedup",
+    "tails",
+    "faults",
+    "tables",
     "policies",
+    "ablations",
 ];
 
 fn run(args: &[&str]) -> Output {
@@ -20,6 +30,13 @@ fn run(args: &[&str]) -> Output {
 
 #[test]
 fn unknown_subcommand_exits_2_and_lists_the_valid_ones() {
+    let mut table = ssdx_bench::subcommands();
+    table.push("all");
+    table.sort_unstable();
+    let mut expected = SUBCOMMANDS;
+    expected.sort_unstable();
+    assert_eq!(table, expected, "the experiment table's subcommands");
+
     // `fgi2` is the typo that used to fall through to the full suite;
     // `speed` was a subcommand until the Fig. 6 baseline moved to perfbench.
     for arg in ["nosuch", "fgi2", "speed"] {
@@ -32,9 +49,27 @@ fn unknown_subcommand_exits_2_and_lists_the_valid_ones() {
         );
         let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
         assert!(stderr.contains(&format!("`{arg}`")), "{stderr}");
-        for name in SUBCOMMANDS {
+        for experiment in ssdx_bench::EXPERIMENTS {
+            let name = experiment.name;
             assert!(stderr.contains(name), "usage omits `{name}`: {stderr}");
         }
+        assert!(stderr.contains("all"), "usage omits `all`: {stderr}");
+    }
+}
+
+#[test]
+fn ablations_prints_all_five_series() {
+    let out = run(&["ablations"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    for header in [
+        "way gang interconnection (sequential write):",
+        "ECC scheme (sequential read):",
+        "compressor placement (sequential write):",
+        "ONFI interface speed (sequential write):",
+        "host queue depth, no-cache policy (sequential write):",
+    ] {
+        assert!(stdout.contains(header), "missing `{header}`:\n{stdout}");
     }
 }
 
@@ -43,7 +78,8 @@ fn bare_invocation_runs_the_full_suite() {
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
-    // The first and the last section of the `all` run.
+    // The first, a middle and the last section of the `all` run.
     assert!(stdout.contains("Table II "), "{stdout}");
     assert!(stdout.contains("Parallel sweep speedup"), "{stdout}");
+    assert!(stdout.contains("Ablations "), "{stdout}");
 }

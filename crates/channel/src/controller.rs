@@ -164,19 +164,6 @@ impl ChannelController {
             .ok_or(ChannelError::DieOutOfRange)
     }
 
-    /// Mutable access to one die.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the way or die index is out of range.
-    pub fn die_mut(&mut self, way: u32, die: u32) -> Result<&mut NandDie, ChannelError> {
-        self.dies
-            .get_mut(way as usize)
-            .ok_or(ChannelError::WayOutOfRange)?
-            .get_mut(die as usize)
-            .ok_or(ChannelError::DieOutOfRange)
-    }
-
     /// Ages every die on the channel to `pe_cycles` program/erase cycles.
     pub fn age_all(&mut self, pe_cycles: u64) {
         for way in &mut self.dies {
@@ -195,15 +182,6 @@ impl ChannelController {
                 die.set_fault_profile(read_disturb, retention_scale);
             }
         }
-    }
-
-    /// The earliest instant at which the die `(way, die)` is ready.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the indices are out of range.
-    pub fn die_ready_at(&self, way: u32, die: u32) -> Result<SimTime, ChannelError> {
-        Ok(self.die(way, die)?.ready_at())
     }
 
     fn data_bus_for(&mut self, way: u32) -> &mut Resource {
@@ -533,7 +511,7 @@ mod tests {
             ChannelError::BadPageAddress
         );
         assert!(c.die(9, 0).is_err());
-        assert!(c.die_ready_at(0, 9).is_err());
+        assert!(c.die(0, 9).is_err());
     }
 
     #[test]
@@ -576,6 +554,6 @@ mod tests {
         assert!(c.bus_utilization(SimTime::from_ms(1)) > 0.0);
         c.reset_activity();
         assert_eq!(c.stats().programs, 0);
-        assert_eq!(c.die_ready_at(0, 0).unwrap(), SimTime::ZERO);
+        assert_eq!(c.die(0, 0).unwrap().ready_at(), SimTime::ZERO);
     }
 }

@@ -186,7 +186,9 @@ impl Default for FaultConfig {
 
 /// Most NAND dies one platform may hold: 65,536, which is 8× the largest
 /// Table III design point (C8, 8,192 dies). [`SsdConfig::validate`]
-/// rejects larger topologies before anything is allocated for them.
+/// rejects larger topologies before anything is allocated for them, and
+/// applies the same bound to the DRAM buffer and CPU core counts, which
+/// each size one allocation when the platform is built.
 pub const MAX_TOTAL_DIES: u64 = 1 << 16;
 
 /// Errors produced while building or parsing a configuration.
@@ -199,7 +201,8 @@ pub enum ConfigError {
     TooManyDies(u64),
     /// A key in the text configuration is unknown.
     UnknownKey(String),
-    /// A value in the text configuration cannot be parsed.
+    /// A value cannot be parsed from the text configuration, or is out of
+    /// range.
     BadValue {
         /// The configuration key whose value is invalid.
         key: String,
@@ -293,11 +296,6 @@ impl SsdConfig {
         self.channels * self.ways * self.dies_per_way
     }
 
-    /// The `(channels, ways, dies_per_way)` topology triple.
-    pub fn topology_tuple(&self) -> (u32, u32, u32) {
-        (self.channels, self.ways, self.dies_per_way)
-    }
-
     /// Raw NAND capacity in bytes.
     pub fn raw_capacity_bytes(&self) -> u64 {
         self.total_dies() as u64 * self.nand.geometry.die_capacity_bytes()
@@ -327,9 +325,17 @@ impl SsdConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError::ZeroDimension`] naming the offending field,
-    /// or [`ConfigError::TooManyDies`] when the topology holds more than
-    /// [`MAX_TOTAL_DIES`] dies.
+    /// [`ConfigError::TooManyDies`] when the topology holds more than
+    /// [`MAX_TOTAL_DIES`] dies, or [`ConfigError::BadValue`] when
+    /// `dram_buffers` or `cpu_cores` exceeds that bound or the aggregate
+    /// buffer capacity overflows `u64`.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        fn out_of_range(key: &str, value: impl fmt::Display) -> ConfigError {
+            ConfigError::BadValue {
+                key: key.to_string(),
+                value: value.to_string(),
+            }
+        }
         if self.channels == 0 {
             return Err(ConfigError::ZeroDimension("channels"));
         }
@@ -346,11 +352,26 @@ impl SsdConfig {
         if self.dram_buffers == 0 {
             return Err(ConfigError::ZeroDimension("dram_buffers"));
         }
+        if self.dram_buffers as u64 > MAX_TOTAL_DIES {
+            return Err(out_of_range("dram_buffers", self.dram_buffers));
+        }
         if self.dram_buffer_capacity == 0 {
             return Err(ConfigError::ZeroDimension("dram_buffer_capacity"));
         }
+        if (self.dram_buffers as u64)
+            .checked_mul(self.dram_buffer_capacity)
+            .is_none()
+        {
+            return Err(out_of_range(
+                "dram_buffer_capacity",
+                self.dram_buffer_capacity,
+            ));
+        }
         if self.cpu_cores == 0 {
             return Err(ConfigError::ZeroDimension("cpu_cores"));
+        }
+        if self.cpu_cores as u64 > MAX_TOTAL_DIES {
+            return Err(out_of_range("cpu_cores", self.cpu_cores));
         }
         Ok(())
     }
@@ -925,6 +946,44 @@ mod tests {
             SsdConfig::from_text(text),
             Err(ConfigError::TooManyDies(_))
         ));
+    }
+
+    #[test]
+    fn allocation_sizing_counts_beyond_the_limit_are_rejected() {
+        let bad = |key: &str, value: String| {
+            Err(ConfigError::BadValue {
+                key: key.to_string(),
+                value,
+            })
+        };
+        // Each of these would size one allocation far past memory, or
+        // overflow the session's aggregate buffer capacity.
+        let text = "dram_buffers = 4294967295\n";
+        assert_eq!(
+            SsdConfig::from_text(text),
+            bad("dram_buffers", u32::MAX.to_string())
+        );
+        let text = "cpu_cores = 4294967295\n";
+        assert_eq!(
+            SsdConfig::from_text(text),
+            bad("cpu_cores", u32::MAX.to_string())
+        );
+        let text = "dram_buffers = 16\ndram_buffer_capacity = 18446744073709551615\n";
+        assert_eq!(
+            SsdConfig::from_text(text),
+            bad("dram_buffer_capacity", u64::MAX.to_string())
+        );
+        // The bound itself still validates.
+        let limit = SsdConfig::builder("limit")
+            .dram_buffers(MAX_TOTAL_DIES as u32)
+            .cpu_cores(MAX_TOTAL_DIES as u32)
+            .dram_buffer_capacity(u64::MAX / MAX_TOTAL_DIES)
+            .build();
+        assert!(limit.is_ok(), "{limit:?}");
+        let over = SsdConfig::builder("over")
+            .dram_buffers(MAX_TOTAL_DIES as u32 + 1)
+            .build();
+        assert_eq!(over, bad("dram_buffers", (MAX_TOTAL_DIES + 1).to_string()));
     }
 
     #[test]

@@ -153,7 +153,7 @@ mod tests {
         let fixed = fig5_config(EccScheme::fixed_bch(40));
         let adaptive = fig5_config(EccScheme::adaptive_bch(40));
         assert_eq!(fixed.total_dies(), 32);
-        assert_eq!(fixed.topology_tuple(), adaptive.topology_tuple());
+        assert_eq!(fixed.architecture_label(), adaptive.architecture_label());
         assert_ne!(fixed.ecc.name(), adaptive.ecc.name());
     }
 }

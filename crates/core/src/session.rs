@@ -39,7 +39,7 @@ use crate::ssd::Ssd;
 use ssdx_compress::{CompressorModel, CompressorPlacement};
 use ssdx_dram::AccessKind;
 use ssdx_ftl::{PageMappedFtl, WorkloadMix};
-use ssdx_hostif::{CommandSource, CommandStream, HostCommand, HostOp};
+use ssdx_hostif::{CommandSource, HostCommand, HostOp};
 use ssdx_nand::NandOp;
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::SimTime;
@@ -231,9 +231,9 @@ mod storage {
     }
 
     /// The source a session reads its commands from: the caller's, borrowed
-    /// for the session's lifetime ([`Ssd::session`]), or shared with the
-    /// session's [`duplicate`](super::SimSession::duplicate)s
-    /// ([`Ssd::into_session`]).
+    /// for the session's lifetime ([`Ssd::session`]), or shared through an
+    /// `Arc` ([`Ssd::into_session`]). A session's
+    /// [`duplicate`](super::SimSession::duplicate)s read it the same way.
     pub(crate) enum Source<'a> {
         Borrowed(&'a dyn CommandSource),
         Shared(Arc<dyn CommandSource>),
@@ -272,12 +272,13 @@ mod storage {
 /// # Borrowed and owned sessions
 ///
 /// [`Ssd::session`] borrows the platform and the source for `'a`.
-/// [`Ssd::into_session`] and [`duplicate`](Self::duplicate) return a
-/// session that owns its platform and shares its source through an `Arc`,
-/// so it borrows nothing and can outlive its creator — stored as a
-/// `SimSession<'static>` and sent to another thread, as `ssdx-server` does
-/// with the sessions it hosts. Both kinds run the same pipeline and
-/// produce the same records and reports.
+/// [`Ssd::into_session`] returns a session that owns its platform and
+/// shares its source through an `Arc`, so it borrows nothing and can
+/// outlive its creator — stored as a `SimSession<'static>` and sent to
+/// another thread, as `ssdx-server` does with the sessions it hosts. A
+/// [`duplicate`](Self::duplicate) owns a clone of the platform and reads
+/// the same source as its original, shared or borrowed. All kinds run the
+/// same pipeline and produce the same records and reports.
 ///
 /// # Determinism
 ///
@@ -574,26 +575,23 @@ impl<'a> SimSession<'a> {
     /// counterpart of [`capture`](Self::capture) followed by
     /// [`fork`](Self::fork), without the encode/decode round trip.
     ///
-    /// A session that shares its source ([`Ssd::into_session`], or a
-    /// duplicate) hands the copy the same `Arc`. A session that borrows its
-    /// source ([`Ssd::session`]) cannot lend it past its own lifetime, so
-    /// the copy gets the stream collected once into a [`CommandStream`].
+    /// The copy reads the same source: a session that shares its source
+    /// ([`Ssd::into_session`], or a duplicate of one) hands the copy the
+    /// same `Arc`, and a session that borrows its source ([`Ssd::session`])
+    /// lends the copy the same borrow. Neither copies the stream.
     ///
     /// Like `capture`, this copies simulation state only: attached probes
     /// and the sampling cadence stay with this session.
-    pub fn duplicate<'b>(&self) -> SimSession<'b> {
+    pub fn duplicate(&self) -> SimSession<'a> {
         let source = match &self.source {
-            Source::Shared(source) => Arc::clone(source),
-            Source::Borrowed(source) => Arc::new(CommandStream::new(
-                self.label.clone(),
-                source.commands().into_owned(),
-            )),
+            Source::Shared(source) => Source::Shared(Arc::clone(source)),
+            Source::Borrowed(source) => Source::Borrowed(*source),
         };
         SimSession {
             ssd: Platform::Owned(Box::new(Ssd::clone(&self.ssd))),
             label: self.label.clone(),
             mix: self.mix,
-            source: Source::Shared(source),
+            source,
             len: self.len,
             cursor: self.cursor,
             queue_depth: self.queue_depth,

@@ -342,7 +342,7 @@ mod tests {
         assert_eq!(snap.version(), SNAPSHOT_VERSION);
         let mut other = platform();
         other.restore(&snap).unwrap();
-        assert_eq!(other.aged_pe_cycles(), ssd.aged_pe_cycles());
+        assert_eq!(other.aged_pe, ssd.aged_pe);
         assert_eq!(other.capture(), snap);
     }
 

@@ -224,12 +224,6 @@ impl Ssd {
         }
     }
 
-    /// Current artificial P/E cycle count applied by
-    /// [`age_to_normalized`](Self::age_to_normalized).
-    pub fn aged_pe_cycles(&self) -> u64 {
-        self.aged_pe
-    }
-
     /// Clears all dynamic activity (busy windows, statistics, stripe state)
     /// while keeping configuration and wear.
     pub fn reset_activity(&mut self) {
@@ -855,7 +849,7 @@ mod tests {
         // At end of life they converge (same 40-bit correction).
         fixed.age_to_normalized(1.0);
         adaptive.age_to_normalized(1.0);
-        assert_eq!(fixed.aged_pe_cycles(), 3_000);
+        assert_eq!(fixed.aged_pe, 3_000);
         let r_fixed_eol = fixed.simulate(&w);
         let r_adaptive_eol = adaptive.simulate(&w);
         let ratio = r_adaptive_eol.throughput_mbps / r_fixed_eol.throughput_mbps;

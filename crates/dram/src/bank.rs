@@ -57,11 +57,6 @@ impl Bank {
         self.ready_at
     }
 
-    /// Row-buffer hit/miss/conflict counts.
-    pub fn outcome_counts(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.conflicts)
-    }
-
     /// Performs the row-management part of an access to `row`, starting no
     /// earlier than `at`. Returns the instant at which the column access
     /// (CAS) can be issued and the row outcome.
@@ -212,7 +207,7 @@ mod tests {
         let (r2, o) = b.open_row(r1, 2, &t);
         assert_eq!(o, RowOutcome::Conflict);
         assert_eq!(r2, r1 + t.precharge_time() + t.activate_time());
-        assert_eq!(b.outcome_counts(), (0, 1, 1));
+        assert_eq!((b.hits, b.misses, b.conflicts), (0, 1, 1));
     }
 
     #[test]

@@ -195,11 +195,6 @@ impl DramBuffer {
         self.stats
     }
 
-    /// Earliest instant the data bus is free.
-    pub fn bus_free_at(&self) -> SimTime {
-        self.data_bus_free
-    }
-
     fn map_address(&self, addr: u64, burst_index: u32) -> (usize, u64) {
         // Simple interleaved mapping: consecutive bursts rotate across banks,
         // rows advance every `row_bytes`.
@@ -693,7 +688,7 @@ mod tests {
         assert!(b.effective_bandwidth(SimTime::from_us(10)) > 0.0);
         b.reset();
         assert_eq!(b.stats().accesses, 0);
-        assert_eq!(b.bus_free_at(), SimTime::ZERO);
+        assert_eq!(b.data_bus_free, SimTime::ZERO);
     }
 
     #[test]
@@ -820,7 +815,7 @@ mod tests {
                     // A snapshot restore materialises the banks.
                     fast = restored(&fast);
                 }
-                let free = oracle.bus_free_at();
+                let free = oracle.data_bus_free;
                 let at = match when {
                     // Before the data bus is free.
                     0 => free.saturating_sub(SimTime::from_ps(ps % 300_000)),
@@ -884,7 +879,7 @@ mod tests {
                 (Some(0), 11 * row, 64, false),
             ];
             for (gap, addr, bytes, striped) in steps {
-                let free = oracle.bus_free_at();
+                let free = oracle.data_bus_free;
                 let at = match gap {
                     Some(gap) if gap < 0 => free - SimTime::from_ns(gap.unsigned_abs()),
                     Some(gap) => free + SimTime::from_ns(gap as u64),
@@ -895,7 +890,7 @@ mod tests {
             }
             // A restore materialises; a long access makes a stripe again.
             fast = restored(&fast);
-            let at = oracle.bus_free_at();
+            let at = oracle.data_bus_free;
             step_both(&mut fast, &mut oracle, at, 12 * row, 4096).unwrap();
             assert!(fast.stripe.is_some());
             // A transfer across a refresh deadline, then an access queued
@@ -904,7 +899,7 @@ mod tests {
             let at = oracle.next_refresh - SimTime::from_ns(500);
             step_both(&mut fast, &mut oracle, at, 0, 4096).unwrap();
             assert!(fast.stripe.is_some());
-            let at = oracle.bus_free_at() - SimTime::from_ns(10);
+            let at = oracle.data_bus_free - SimTime::from_ns(10);
             let mut probe = fast.clone();
             probe.refresh_if_due(at);
             assert_eq!(probe.stripe, None);
@@ -926,7 +921,7 @@ mod tests {
         for _ in 0..2_000 {
             let offset = rng.uniform_u64(0, 255) * 4096;
             for bytes in [4096, 2048, 2048] {
-                let free = oracle.bus_free_at();
+                let free = oracle.data_bus_free;
                 let at = match rng.uniform_u64(0, 3) {
                     0 => free.saturating_sub(SimTime::from_ns(rng.uniform_u64(0, 500))),
                     1 => free + SimTime::from_ns(rng.uniform_u64(0, 3_000)),

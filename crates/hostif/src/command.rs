@@ -19,11 +19,6 @@ impl HostOp {
     pub fn is_write(self) -> bool {
         matches!(self, HostOp::Write)
     }
-
-    /// `true` if the command moves data from the NAND array to the host.
-    pub fn is_read(self) -> bool {
-        matches!(self, HostOp::Read)
-    }
 }
 
 impl fmt::Display for HostOp {
@@ -106,9 +101,8 @@ mod tests {
     #[test]
     fn op_classification() {
         assert!(HostOp::Write.is_write());
-        assert!(!HostOp::Write.is_read());
-        assert!(HostOp::Read.is_read());
-        assert!(!HostOp::Trim.is_read());
+        assert!(!HostOp::Read.is_write());
+        assert!(!HostOp::Trim.is_write());
         assert_eq!(HostOp::Trim.to_string(), "trim");
     }
 

@@ -47,13 +47,6 @@ impl SataInterface {
             gen3: true,
         }
     }
-
-    /// Restricts the NCQ window (clamped to 1..=32), e.g. to model a host
-    /// driver that does not enable full queuing.
-    pub fn with_queue_depth(mut self, depth: u32) -> Self {
-        self.ncq_depth = depth.clamp(1, 32);
-        self
-    }
 }
 
 impl Default for SataInterface {
@@ -120,12 +113,7 @@ mod tests {
     #[test]
     fn ncq_window_is_bounded_at_32() {
         assert_eq!(SataInterface::sata2().queue_depth(), 32);
-        assert_eq!(
-            SataInterface::sata2().with_queue_depth(64).queue_depth(),
-            32
-        );
-        assert_eq!(SataInterface::sata2().with_queue_depth(0).queue_depth(), 1);
-        assert_eq!(SataInterface::sata2().with_queue_depth(8).queue_depth(), 8);
+        assert_eq!(SataInterface::sata3().queue_depth(), 32);
     }
 
     #[test]

@@ -158,11 +158,6 @@ impl NandDie {
             .unwrap_or(self.baseline_pe)
     }
 
-    /// Normalised wear (0–1+) of the block containing `addr`.
-    pub fn block_wear(&self, addr: PageAddr) -> f64 {
-        self.config.wear.normalized_wear(self.block_pe_cycles(addr))
-    }
-
     /// Expected raw bit errors for one page read at the block's current wear
     /// and read-disturb state, over a codeword covering the full raw page
     /// (data + spare).
@@ -438,7 +433,6 @@ mod tests {
         let mut d = die();
         d.age_all_blocks(1_500);
         assert_eq!(d.block_pe_cycles(addr(100, 0)), 1_500);
-        assert!((d.block_wear(addr(100, 0)) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -116,13 +116,6 @@ impl MlcTimingProfile {
         SimTime::from_ns_f64(base_us * slow * 1_000.0)
     }
 
-    /// Mean program time across LSB and MSB pages at the given wear level.
-    pub fn t_prog_mean(&self, wear: f64) -> SimTime {
-        let lsb = self.t_prog(PageKind::Lsb, wear);
-        let msb = self.t_prog(PageKind::Msb, wear);
-        (lsb + msb) / 2
-    }
-
     /// Erase time at the given wear level: erase stretches from the datasheet
     /// minimum toward the maximum as the block wears out.
     pub fn t_bers(&self, wear: f64) -> SimTime {
@@ -203,7 +196,7 @@ mod tests {
         let p = MlcTimingProfile::default();
         assert!(p.t_prog(PageKind::Msb, 1.0) > p.t_prog(PageKind::Msb, 0.0));
         assert!(p.t_bers(0.7) > p.t_bers(0.1));
-        assert!(p.t_prog_mean(0.5) > p.t_prog_mean(0.0));
+        assert!(p.t_prog(PageKind::Lsb, 0.5) > p.t_prog(PageKind::Lsb, 0.0));
     }
 
     #[test]

@@ -254,6 +254,35 @@ fn a_topology_beyond_the_die_limit_is_refused_not_fatal() {
     shutdown(server);
 }
 
+#[test]
+fn buffer_and_core_counts_that_size_huge_allocations_are_refused_not_fatal() {
+    let server = ephemeral_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // Each count sizes one `Vec` when the platform is built; an allocation
+    // that large aborts the process, which no `catch_unwind` can stop. The
+    // third overflows the session's aggregate buffer capacity in `u64`.
+    let configs = [
+        "dram_buffers = 4294967295\n",
+        "cpu_cores = 4294967295\n",
+        "dram_buffers = 65536\ndram_buffer_capacity = 18446744073709551615\n",
+    ];
+    let spec = ssdx_server::WorkloadSpec::Basic {
+        pattern: ssdx_hostif::AccessPattern::SequentialWrite,
+        block_size: 4096,
+        command_count: 16,
+        footprint_bytes: 1 << 20,
+        seed: 1,
+    };
+    for config in configs {
+        match client.create_session(config, &spec) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::BadConfig),
+            other => panic!("expected a bad-config refusal for {config:?}, got {other:?}"),
+        }
+    }
+    assert_still_serving(&server);
+    shutdown(server);
+}
+
 fn shutdown(server: Server) {
     let mut client = Client::connect(server.local_addr()).expect("connect for shutdown");
     client.shutdown_server().expect("shutdown");

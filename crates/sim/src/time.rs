@@ -293,30 +293,15 @@ impl Frequency {
         Frequency { hz }
     }
 
-    /// Creates a frequency from kilohertz.
-    pub fn from_khz(khz: u64) -> Self {
-        Self::from_hz(khz * 1_000)
-    }
-
     /// Creates a frequency from megahertz.
     pub fn from_mhz(mhz: u64) -> Self {
         Self::from_hz(mhz * 1_000_000)
-    }
-
-    /// Creates a frequency from gigahertz.
-    pub fn from_ghz(ghz: u64) -> Self {
-        Self::from_hz(ghz * 1_000_000_000)
     }
 
     /// Frequency in hertz.
     #[inline]
     pub fn as_hz(self) -> u64 {
         self.hz
-    }
-
-    /// Frequency in megahertz (fractional).
-    pub fn as_mhz_f64(self) -> f64 {
-        self.hz as f64 / 1e6
     }
 
     /// Clock period.
@@ -418,7 +403,7 @@ mod tests {
     fn frequency_period_is_exact_for_platform_clocks() {
         assert_eq!(Frequency::from_mhz(200).period().as_ps(), 5_000);
         assert_eq!(Frequency::from_mhz(400).period().as_ps(), 2_500);
-        assert_eq!(Frequency::from_ghz(1).period().as_ps(), 1_000);
+        assert_eq!(Frequency::from_mhz(1_000).period().as_ps(), 1_000);
     }
 
     #[test]

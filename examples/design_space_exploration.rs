@@ -1,11 +1,11 @@
-//! Design-space exploration: find the minimum-resource SSD architecture that
-//! saturates a SATA II host interface, then show how an NVMe interface
-//! changes the picture (the paper's Figs. 3 and 4 in miniature).
+//! Design-space exploration with a custom sweep: queue depth × channel
+//! count on one Table II configuration, run in parallel.
 //!
-//! The studies fan their sweep points out across all cores through the
-//! `ParallelExecutor` — results are byte-identical to a sequential run, so
-//! the only observable difference is the wall clock. The custom-sweep coda
-//! at the end shows the explicit `run_parallel` API.
+//! The paper's own searches (Figs. 3 and 4) are `experiments fig3` and
+//! `experiments fig4`; this example shows the API they are built on. The
+//! sweep points fan out across all cores through `run_parallel`, and the
+//! results are byte-identical to a sequential run, so the only observable
+//! difference is the wall clock.
 //!
 //! Run with `cargo run --release --example design_space_exploration`.
 
@@ -13,62 +13,21 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use ssdexplorer::core::configs::table2_configs;
-use ssdexplorer::core::{explorer, Axis, Explorer, HostInterfaceConfig, SsdConfig};
+use ssdexplorer::core::{Axis, Explorer};
 use ssdexplorer::hostif::{AccessPattern, Workload};
-
-fn steady_state(mut cfg: SsdConfig) -> SsdConfig {
-    // Keep the write cache small relative to the workload so throughput
-    // reflects the steady state rather than the cache-fill transient.
-    cfg.dram_buffer_capacity = 128 * 1024;
-    cfg
-}
+use ssdx_bench::shorten_cache_fill;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::builder(AccessPattern::SequentialWrite)
         .command_count(8_192)
         .build();
-    let configs: Vec<SsdConfig> = table2_configs().into_iter().map(steady_state).collect();
 
-    for host in [
-        HostInterfaceConfig::Sata2,
-        HostInterfaceConfig::nvme_gen2_x8(),
-    ] {
-        println!("================================================================");
-        println!("host interface: {}", host.name());
-        println!("================================================================");
-        // The Explorer-based study sweeps every configuration under both
-        // cache policies and augments the component reference series.
-        let sweep = explorer::host_interface_study(host, &configs, &workload)?;
-        print!("{}", sweep.to_table());
-
-        match sweep.optimal_design_point(0.95) {
-            Some(best) if !sweep.saturating_points(0.95).is_empty() => println!(
-                "\n-> {} is the cheapest architecture that saturates the interface\n",
-                best.config_name
-            ),
-            Some(best) => println!(
-                "\n-> no architecture saturates the interface; cheapest overall is {}\n",
-                best.config_name
-            ),
-            None => println!("\n-> no design points were evaluated\n"),
-        }
-
-        println!("performance/cost Pareto front:");
-        for p in sweep.pareto_front() {
-            println!(
-                "   {:<4} {:>7.1} MB/s  ({} channels, {} buffers, {} dies)",
-                p.config_name, p.ssd_cache_mbps, p.channels, p.dram_buffers, p.total_dies
-            );
-        }
-        println!();
-    }
-
-    // A custom sweep on the parallel path: queue depth × channel count,
-    // executed with one worker per core and collected in expansion order.
+    // Queue depth × channel count, executed with one worker per core and
+    // collected in expansion order.
     println!("================================================================");
     println!("custom sweep (parallel): queue depth x channels");
     println!("================================================================");
-    let base = steady_state(table2_configs().remove(2));
+    let base = shorten_cache_fill(table2_configs().remove(2));
     let sweep = Explorer::new(base)
         .over(Axis::over("qd", [1u32, 8, 32], |cfg, &qd| {
             cfg.queue_depth_override = Some(qd);

@@ -15,17 +15,19 @@
 
 use ssdexplorer::core::{Axis, CachePolicy, Explorer, HostInterfaceConfig, SsdConfig};
 use ssdexplorer::hostif::{AccessPattern, Workload};
+use ssdx_bench::shorten_cache_fill;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::builder(AccessPattern::SequentialWrite)
         .command_count(8_192)
         .build();
 
-    let base = SsdConfig::builder("backend")
-        .topology(16, 8, 4)
-        .dram_buffers(16)
-        .dram_buffer_capacity(128 * 1024)
-        .build()?;
+    let base = shorten_cache_fill(
+        SsdConfig::builder("backend")
+            .topology(16, 8, 4)
+            .dram_buffers(16)
+            .build()?,
+    );
 
     let mut host_axis = Axis::new("host");
     for host in [

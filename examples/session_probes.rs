@@ -17,6 +17,7 @@
 use ssdexplorer::core::{Probe, SessionSnapshot, Ssd, SsdConfig};
 use ssdexplorer::hostif::{source_fn, HostCommand, HostOp};
 use ssdexplorer::sim::SimTime;
+use ssdx_bench::shorten_cache_fill;
 
 /// A probe that keeps the periodic snapshots for a latency/utilization
 /// timeline and tracks the worst single-command latency it saw.
@@ -37,11 +38,12 @@ impl Probe for Timeline {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = SsdConfig::builder("probed")
-        .topology(8, 4, 2)
-        .dram_buffers(8)
-        .dram_buffer_capacity(128 * 1024)
-        .build()?;
+    let config = shorten_cache_fill(
+        SsdConfig::builder("probed")
+            .topology(8, 4, 2)
+            .dram_buffers(8)
+            .build()?,
+    );
     let mut ssd = Ssd::try_new(config)?;
 
     // A closure-backed source: bursts of 4 KB writes alternating between two

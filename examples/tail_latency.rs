@@ -15,15 +15,17 @@
 
 use ssdexplorer::core::{metrics, CommandClass, CompletionLog, Ssd, SsdConfig, SteadyStateCutoff};
 use ssdexplorer::hostif::ZipfianWorkload;
+use ssdx_bench::shorten_cache_fill;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut config = SsdConfig::builder("tail-demo")
-        .topology(4, 2, 2)
-        .dram_buffers(4)
-        .build()?;
-    // Shrink the write cache so the study measures the flash-limited steady
-    // state instead of the cache-fill transient.
-    config.dram_buffer_capacity = 128 * 1024;
+    // A short cache fill, so the study measures flash-limited latencies
+    // rather than writes absorbed by the cache.
+    let config = shorten_cache_fill(
+        SsdConfig::builder("tail-demo")
+            .topology(4, 2, 2)
+            .dram_buffers(4)
+            .build()?,
+    );
 
     // The whole suite in one call: four workloads, one eighth of each
     // stream trimmed as warmup, full per-class histograms per point.

@@ -1,81 +1,55 @@
-//! Shape checks for the paper's experiments, at test-sized workloads.
+//! Shape checks for the paper's experiments, on the runs `experiments`
+//! prints.
 //!
 //! These tests assert the *qualitative* results the paper reports — who
-//! wins, in which direction a curve moves, where saturation happens — so the
-//! experiment harness cannot silently drift away from the publication while
-//! refactoring. The absolute numbers live in EXPERIMENTS.md and are produced
-//! by the `experiments` binary with larger workloads. The sweeps run through
-//! the Explorer-based studies (`host_interface_study` / `wearout_study`).
+//! wins, in which direction a curve moves, where saturation happens — so
+//! the experiment harness cannot silently drift away from the publication
+//! while refactoring. Each figure comes from its typed runner in
+//! `ssdx_bench` (`fig2`, `fig3`, `fig4`, `fig5`), the same call the
+//! `experiments` subcommand renders, so the configurations, sizes and
+//! transforms checked here are the ones the recorded figures use.
 
-use ssdexplorer::core::configs::{
-    fig5_config, ocz_vertex_like, table2_configs, table3_configs, OCZ_REFERENCE_MBPS,
-};
-use ssdexplorer::core::{explorer, HostInterfaceConfig, Ssd, SsdConfig};
-use ssdexplorer::ecc::EccScheme;
-use ssdexplorer::hostif::{AccessPattern, Workload};
+use ssdexplorer::core::configs::{table2_configs, table3_configs};
+use ssdexplorer::core::{HostSweep, HostSweepPoint, WearoutPoint};
+use ssdexplorer::hostif::AccessPattern;
 
-fn steady_state(mut cfg: SsdConfig) -> SsdConfig {
-    cfg.dram_buffer_capacity = 64 * 1024;
-    cfg
+fn by_name<'a>(sweep: &'a HostSweep, name: &str) -> &'a HostSweepPoint {
+    sweep
+        .points
+        .iter()
+        .find(|p| p.config_name == name)
+        .unwrap_or_else(|| panic!("config {name} missing from sweep"))
 }
 
-fn sw_workload(commands: u64) -> Workload {
-    Workload::builder(AccessPattern::SequentialWrite)
-        .command_count(commands)
-        .build()
-}
-
-/// A reduced Table II that still spans the interesting corners: the smallest
-/// configuration, one mid-size non-saturating point, the paper's optimum C6
-/// and the largest configuration C10.
-fn reduced_table2() -> Vec<SsdConfig> {
-    table2_configs()
-        .into_iter()
-        .filter(|c| matches!(c.name.as_str(), "C1" | "C4" | "C6" | "C10"))
-        .map(steady_state)
-        .collect()
-}
-
-/// Fig. 2's accuracy, pinned at the size `experiments -- fig2` runs (1 GiB
-/// of 4 KB commands over an 8 GiB footprint on the full drive): every
-/// pattern stays within 10 % of the OCZ Vertex's reported throughput.
+/// Fig. 2's accuracy: every pattern stays within 10 % of the OCZ Vertex's
+/// reported throughput.
 #[test]
 fn fig2_accuracy_stays_within_ten_percent_of_the_ocz_vertex() {
-    let mut ssd = Ssd::try_new(ocz_vertex_like()).expect("ocz-vertex-like validates");
-    for (pattern, reference) in OCZ_REFERENCE_MBPS {
-        let w = Workload::builder(pattern)
-            .command_count(262_144)
-            .footprint_bytes(8 << 30)
-            .build();
-        let mbps = ssd.simulate(&w).throughput_mbps;
-        let error = (mbps - reference).abs() / reference;
+    for row in ssdx_bench::fig2().rows {
         assert!(
-            error <= 0.10,
-            "{}: {mbps:.1} MB/s is {:.1} % off the OCZ Vertex's {reference} MB/s",
-            pattern.label(),
-            error * 100.0
+            row.error() <= 0.10,
+            "{}: {:.1} MB/s is {:.1} % off the OCZ Vertex's {} MB/s",
+            row.pattern.label(),
+            row.measured_mbps,
+            row.error() * 100.0,
+            row.reference_mbps
         );
     }
 }
 
 #[test]
 fn fig2_shape_sequential_beats_random_and_reads_beat_writes() {
-    // Shrink the drive's 64 MB write cache so the test-sized workload
-    // reaches the flash-limited steady state the full experiment measures.
-    let mut config = ocz_vertex_like();
-    config.dram_buffer_capacity = 256 * 1024;
-    let mut ssd = Ssd::try_new(config).expect("ocz-vertex-like validates");
-    let mut run = |pattern| {
-        let w = Workload::builder(pattern)
-            .command_count(4_096)
-            .footprint_bytes(4 << 30)
-            .build();
-        ssd.simulate(&w).throughput_mbps
+    let rows = ssdx_bench::fig2().rows;
+    let mbps = |pattern: AccessPattern| {
+        rows.iter()
+            .find(|r| r.pattern == pattern)
+            .map(|r| r.measured_mbps)
+            .unwrap_or_else(|| panic!("{} missing from Fig. 2", pattern.label()))
     };
-    let sw = run(AccessPattern::SequentialWrite);
-    let sr = run(AccessPattern::SequentialRead);
-    let rw = run(AccessPattern::RandomWrite);
-    let rr = run(AccessPattern::RandomRead);
+    let sw = mbps(AccessPattern::SequentialWrite);
+    let sr = mbps(AccessPattern::SequentialRead);
+    let rw = mbps(AccessPattern::RandomWrite);
+    let rr = mbps(AccessPattern::RandomRead);
 
     // The qualitative picture of Fig. 2: sequential read is the fastest
     // pattern, random write by far the slowest, reads outrun writes.
@@ -87,24 +61,12 @@ fn fig2_shape_sequential_beats_random_and_reads_beat_writes() {
 
 #[test]
 fn fig3_shape_sata_window_flattens_no_cache_and_c6_saturates() {
-    let sweep = explorer::host_interface_study(
-        HostInterfaceConfig::Sata2,
-        &reduced_table2(),
-        &sw_workload(3_072),
-    )
-    .expect("table configurations validate");
-    let by_name = |name: &str| {
-        sweep
-            .points
-            .iter()
-            .find(|p| p.config_name == name)
-            .unwrap_or_else(|| panic!("config {name} missing from sweep"))
-    };
+    let sweep = ssdx_bench::fig3();
 
     // No-cache throughput is pinned by the 32-command NCQ window: growing the
     // back end from C4 to C10 must not meaningfully move it.
-    let c4 = by_name("C4");
-    let c10 = by_name("C10");
+    let c4 = by_name(&sweep, "C4");
+    let c10 = by_name(&sweep, "C10");
     assert!(
         (c10.ssd_no_cache_mbps - c4.ssd_no_cache_mbps).abs() < 0.2 * c4.ssd_no_cache_mbps,
         "no-cache should flatten: C4 {} vs C10 {}",
@@ -113,8 +75,8 @@ fn fig3_shape_sata_window_flattens_no_cache_and_c6_saturates() {
     );
 
     // With the cache, C6 and C10 saturate the interface, C1 and C4 do not.
-    let c6 = by_name("C6");
-    let c1 = by_name("C1");
+    let c6 = by_name(&sweep, "C6");
+    let c1 = by_name(&sweep, "C1");
     let target = 0.95 * sweep.interface_plus_dram_mbps;
     assert!(
         c6.ssd_cache_mbps >= target,
@@ -125,7 +87,7 @@ fn fig3_shape_sata_window_flattens_no_cache_and_c6_saturates() {
     assert!(c1.ssd_cache_mbps < target);
     assert!(c4.ssd_cache_mbps < target);
 
-    // And among the saturating points, C6 is the cheaper controller.
+    // And among the saturating points, C6 is the cheapest controller.
     let best = sweep
         .optimal_design_point(0.95)
         .expect("sweep is non-empty");
@@ -134,12 +96,7 @@ fn fig3_shape_sata_window_flattens_no_cache_and_c6_saturates() {
 
 #[test]
 fn fig4_shape_nvme_removes_the_host_bottleneck() {
-    let sweep = explorer::host_interface_study(
-        HostInterfaceConfig::nvme_gen2_x8(),
-        &reduced_table2(),
-        &sw_workload(3_072),
-    )
-    .expect("table configurations validate");
+    let sweep = ssdx_bench::fig4();
     // Nothing saturates a PCIe Gen2 x8 link with this NAND generation.
     assert!(sweep.saturating_points(0.95).is_empty());
     for p in &sweep.points {
@@ -154,32 +111,31 @@ fn fig4_shape_nvme_removes_the_host_bottleneck() {
         );
     }
     // Internal parallelism is now visible end to end.
-    let c1 = sweep.points.iter().find(|p| p.config_name == "C1").unwrap();
-    let c10 = sweep
-        .points
-        .iter()
-        .find(|p| p.config_name == "C10")
-        .unwrap();
+    let c1 = by_name(&sweep, "C1");
+    let c10 = by_name(&sweep, "C10");
     assert!(c10.ssd_no_cache_mbps > 5.0 * c1.ssd_no_cache_mbps);
 }
 
 #[test]
 fn fig5_shape_adaptive_bch_wins_reads_until_end_of_life() {
-    let base = fig5_config(EccScheme::fixed_bch(40));
-    let endurance = [0.0, 0.5, 1.0];
-    let fixed = explorer::wearout_study(&base, EccScheme::fixed_bch(40), &endurance, 512)
-        .expect("fig5 configuration validates");
-    let adaptive = explorer::wearout_study(&base, EccScheme::adaptive_bch(40), &endurance, 512)
-        .expect("fig5 configuration validates");
+    let fig5 = ssdx_bench::fig5();
+    let (fixed, adaptive) = (&fig5.fixed, &fig5.adaptive);
+    let at = |points: &[WearoutPoint], endurance: f64| {
+        points
+            .iter()
+            .find(|p| (p.normalized_endurance - endurance).abs() < 1e-9)
+            .map(|p| p.read_mbps)
+            .unwrap_or_else(|| panic!("no Fig. 5 point at endurance {endurance}"))
+    };
 
     // Early and mid life: adaptive BCH reads faster.
-    assert!(adaptive[0].read_mbps > 1.2 * fixed[0].read_mbps);
-    assert!(adaptive[1].read_mbps > 1.1 * fixed[1].read_mbps);
+    assert!(at(adaptive, 0.0) > 1.2 * at(fixed, 0.0));
+    assert!(at(adaptive, 0.6) > 1.1 * at(fixed, 0.6));
     // End of life: both run the worst-case 40-bit code.
-    let eol_ratio = adaptive[2].read_mbps / fixed[2].read_mbps;
+    let eol_ratio = at(adaptive, 1.0) / at(fixed, 1.0);
     assert!((0.9..1.1).contains(&eol_ratio), "eol ratio = {eol_ratio}");
     // Writes are insensitive to the ECC choice at every point.
-    for (f, a) in fixed.iter().zip(&adaptive) {
+    for (f, a) in fixed.iter().zip(adaptive) {
         let gap = (f.write_mbps - a.write_mbps).abs() / f.write_mbps.max(1e-9);
         assert!(
             gap < 0.1,
@@ -188,7 +144,8 @@ fn fig5_shape_adaptive_bch_wins_reads_until_end_of_life() {
         );
     }
     // Wear slows writes down.
-    assert!(fixed[2].write_mbps < fixed[0].write_mbps);
+    let (fresh, worn) = (&fixed[0], &fixed[fixed.len() - 1]);
+    assert!(worn.write_mbps < fresh.write_mbps);
 }
 
 #[test]
