@@ -45,9 +45,8 @@
 
 use crate::config::{FaultConfig, FtlMode, SsdConfig};
 use crate::explorer::{endurance_axis, Axis, Explorer, Sweep, SweepError, SweepPoint};
-use crate::metrics::{push_json_escaped, SteadyStateCutoff, TailSummary};
+use crate::metrics::{push_json_escaped, tail_table, write_tail_classes, SteadyStateCutoff};
 use ssdx_hostif::{generative, CommandSource, ZipfianWorkload};
-use std::fmt::Write as _;
 
 /// An axis sweeping the per-read disturb coefficient: each point sets
 /// [`FaultConfig::read_disturb_per_read`], leaving everything else at the
@@ -137,33 +136,14 @@ impl FaultStudy {
     /// samples are skipped). Rendered through one shared `fmt::Write`
     /// buffer; the exact rendering is pinned by a unit test.
     pub fn to_table(&self) -> String {
-        let mut out = String::with_capacity(128 + self.sweep.points.len() * 256);
-        let _ = writeln!(
-            out,
-            "{:<30} {:<6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "scenario", "class", "count", "mean(us)", "p50(us)", "p95(us)", "p99(us)", "p99.9(us)"
-        );
-        for point in &self.sweep.points {
-            let scenario = scenario(point);
-            for tail in point.report.tails() {
-                if tail.count == 0 {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "{:<30} {:<6} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                    scenario,
-                    tail.class.label(),
-                    tail.count,
-                    tail.mean.as_us_f64(),
-                    tail.p50.as_us_f64(),
-                    tail.p95.as_us_f64(),
-                    tail.p99.as_us_f64(),
-                    tail.p999.as_us_f64(),
-                );
-            }
-        }
-        out
+        tail_table(
+            "scenario",
+            30,
+            self.sweep
+                .points
+                .iter()
+                .map(|point| (scenario(point), &point.report)),
+        )
     }
 
     /// Machine-readable JSON emission (hand rolled — the workspace has no
@@ -173,42 +153,16 @@ impl FaultStudy {
         let mut out = String::with_capacity(256 + self.sweep.points.len() * 512);
         out.push_str("{\n  \"schema\": \"ssdx-fault-tails/v1\",\n  \"scenarios\": [\n");
         for (si, point) in self.sweep.points.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            out.push_str("      \"scenario\": \"");
+            out.push_str("    {\n      \"scenario\": \"");
             push_json_escaped(&mut out, &scenario(point));
             out.push_str("\",\n      \"workload\": \"");
             push_json_escaped(&mut out, &point.report.workload);
             out.push_str("\",\n");
-            let _ = writeln!(out, "      \"classes\": [");
-            let tails: Vec<TailSummary> = point
-                .report
-                .tails()
-                .into_iter()
-                .filter(|t| t.count > 0)
-                .collect();
-            for (ci, tail) in tails.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"class\": \"{}\", \"count\": {}, \"mean_ns\": {}, \
-                     \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-                     \"max_ns\": {}}}",
-                    tail.class.label(),
-                    tail.count,
-                    tail.mean.as_ns(),
-                    tail.p50.as_ns(),
-                    tail.p95.as_ns(),
-                    tail.p99.as_ns(),
-                    tail.p999.as_ns(),
-                    tail.max.as_ns(),
-                );
-                out.push_str(if ci + 1 < tails.len() { ",\n" } else { "\n" });
-            }
-            let _ = writeln!(out, "      ]");
-            out.push_str("    }");
+            write_tail_classes(&mut out, &point.report);
             out.push_str(if si + 1 < self.sweep.points.len() {
-                ",\n"
+                "    },\n"
             } else {
-                "\n"
+                "    }\n"
             });
         }
         out.push_str("  ]\n}\n");
@@ -298,6 +252,36 @@ fn gc_churn(seed: u64, commands: u64) -> ZipfianWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::tests::one_point_tail_sweep;
+
+    #[test]
+    fn fault_table_rendering_is_pinned() {
+        let study = FaultStudy {
+            sweep: one_point_tail_sweep("retire_limit", "2"),
+        };
+        // The same quantiles as the pinned tail table, under a 30-wide
+        // scenario column; the JSON also names the workload.
+        let expected = "\
+scenario                       class     count   mean(us)    p50(us)    p95(us)    p99(us)  p99.9(us)\n\
+retire_limit=2                 read          4      250.0      200.7      400.0      400.0      400.0\n\
+retire_limit=2                 write         1     1000.0     1000.0     1000.0     1000.0     1000.0\n";
+        assert_eq!(study.to_table(), expected);
+        let expected = r#"{
+  "schema": "ssdx-fault-tails/v1",
+  "scenarios": [
+    {
+      "scenario": "retire_limit=2",
+      "workload": "zipf-0.99",
+      "classes": [
+        {"class": "read", "count": 4, "mean_ns": 250000, "p50_ns": 200703, "p95_ns": 400000, "p99_ns": 400000, "p999_ns": 400000, "max_ns": 400000},
+        {"class": "write", "count": 1, "mean_ns": 1000000, "p50_ns": 1000000, "p95_ns": 1000000, "p99_ns": 1000000, "p999_ns": 1000000, "max_ns": 1000000}
+      ]
+    }
+  ]
+}
+"#;
+        assert_eq!(study.to_json(), expected);
+    }
 
     #[test]
     fn fault_axes_label_their_points() {

@@ -793,33 +793,14 @@ impl TailStudy {
     /// Rendered through one shared `fmt::Write` buffer — no per-cell
     /// `String` allocations; the exact rendering is pinned by a unit test.
     pub fn to_table(&self) -> String {
-        let mut out = String::with_capacity(128 + self.sweep.points.len() * 256);
-        let _ = writeln!(
-            out,
-            "{:<22} {:<6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "workload", "class", "count", "mean(us)", "p50(us)", "p95(us)", "p99(us)", "p99.9(us)"
-        );
-        for point in &self.sweep.points {
-            let workload = point.value("workload").unwrap_or(&point.report.workload);
-            for tail in point.report.tails() {
-                if tail.count == 0 {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "{:<22} {:<6} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                    workload,
-                    tail.class.label(),
-                    tail.count,
-                    tail.mean.as_us_f64(),
-                    tail.p50.as_us_f64(),
-                    tail.p95.as_us_f64(),
-                    tail.p99.as_us_f64(),
-                    tail.p999.as_us_f64(),
-                );
-            }
-        }
-        out
+        tail_table(
+            "workload",
+            22,
+            self.sweep.points.iter().map(|point| {
+                let workload = point.value("workload").unwrap_or(&point.report.workload);
+                (workload, &point.report)
+            }),
+        )
     }
 
     /// Machine-readable JSON emission (hand rolled — the workspace has no
@@ -830,45 +811,86 @@ impl TailStudy {
         out.push_str("{\n  \"schema\": \"ssdx-tail-latency/v1\",\n  \"workloads\": [\n");
         for (wi, point) in self.sweep.points.iter().enumerate() {
             let workload = point.value("workload").unwrap_or(&point.report.workload);
-            let _ = writeln!(out, "    {{");
-            out.push_str("      \"workload\": \"");
+            out.push_str("    {\n      \"workload\": \"");
             push_json_escaped(&mut out, workload);
             out.push_str("\",\n");
-            let _ = writeln!(out, "      \"classes\": [");
-            let tails: Vec<TailSummary> = point
-                .report
-                .tails()
-                .into_iter()
-                .filter(|t| t.count > 0)
-                .collect();
-            for (ci, tail) in tails.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "        {{\"class\": \"{}\", \"count\": {}, \"mean_ns\": {}, \
-                     \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-                     \"max_ns\": {}}}",
-                    tail.class.label(),
-                    tail.count,
-                    tail.mean.as_ns(),
-                    tail.p50.as_ns(),
-                    tail.p95.as_ns(),
-                    tail.p99.as_ns(),
-                    tail.p999.as_ns(),
-                    tail.max.as_ns(),
-                );
-                out.push_str(if ci + 1 < tails.len() { ",\n" } else { "\n" });
-            }
-            let _ = writeln!(out, "      ]");
-            out.push_str("    }");
+            write_tail_classes(&mut out, &point.report);
             out.push_str(if wi + 1 < self.sweep.points.len() {
-                ",\n"
+                "    },\n"
             } else {
-                "\n"
+                "    }\n"
             });
         }
         out.push_str("  ]\n}\n");
         out
     }
+}
+
+/// Renders a per-class tail table (all times in microseconds): a header,
+/// then one row per labelled report × command class with samples. The
+/// label column is `width` wide and headed `column`. Shared by the tail
+/// and fault studies.
+pub(crate) fn tail_table<'r, L: AsRef<str>>(
+    column: &str,
+    width: usize,
+    rows: impl ExactSizeIterator<Item = (L, &'r crate::PerfReport)>,
+) -> String {
+    let mut out = String::with_capacity(128 + rows.len() * 256);
+    let _ = writeln!(
+        out,
+        "{column:<width$} {:<6} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "class", "count", "mean(us)", "p50(us)", "p95(us)", "p99(us)", "p99.9(us)"
+    );
+    for (label, report) in rows {
+        for tail in report.tails() {
+            if tail.count == 0 {
+                continue;
+            }
+            let _ = writeln!(
+                out,
+                "{:<width$} {:<6} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
+                label.as_ref(),
+                tail.class.label(),
+                tail.count,
+                tail.mean.as_us_f64(),
+                tail.p50.as_us_f64(),
+                tail.p95.as_us_f64(),
+                tail.p99.as_us_f64(),
+                tail.p999.as_us_f64(),
+            );
+        }
+    }
+    out
+}
+
+/// Writes the `"classes"` member of one tail JSON object: an entry per
+/// command class with samples (times in nanoseconds). Shared by the tail
+/// and fault studies.
+pub(crate) fn write_tail_classes(out: &mut String, report: &crate::PerfReport) {
+    out.push_str("      \"classes\": [\n");
+    let mut tails = report
+        .tails()
+        .into_iter()
+        .filter(|t| t.count > 0)
+        .peekable();
+    while let Some(tail) = tails.next() {
+        let _ = write!(
+            out,
+            "        {{\"class\": \"{}\", \"count\": {}, \"mean_ns\": {}, \
+             \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
+             \"max_ns\": {}}}",
+            tail.class.label(),
+            tail.count,
+            tail.mean.as_ns(),
+            tail.p50.as_ns(),
+            tail.p95.as_ns(),
+            tail.p99.as_ns(),
+            tail.p999.as_ns(),
+            tail.max.as_ns(),
+        );
+        out.push_str(if tails.peek().is_some() { ",\n" } else { "\n" });
+    }
+    out.push_str("      ]\n");
 }
 
 /// Appends `s` to `out` with JSON string escaping (quotes, backslashes and
@@ -930,7 +952,7 @@ pub fn tail_latency_study(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1063,8 +1085,10 @@ mod tests {
         assert_eq!(out, "8\\\"-drive \\\\ tab:\\u0009here");
     }
 
-    #[test]
-    fn tail_table_rendering_is_pinned() {
+    /// A one-point sweep over `axis` whose report holds four reads
+    /// (100–400 us) and one 1000 us write, for the pinned tail renderings
+    /// here and in the fault campaign.
+    pub(crate) fn one_point_tail_sweep(axis: &str, value: &str) -> Sweep {
         use crate::explorer::{AxisValue, SweepPoint};
         use crate::report::{PerfReport, UtilizationBreakdown};
 
@@ -1090,17 +1114,22 @@ mod tests {
             utilization: UtilizationBreakdown::default(),
             class_latency: Box::new(classes),
         };
-        let study = TailStudy {
-            sweep: Sweep {
-                axes: vec!["workload".to_string()],
-                points: vec![SweepPoint {
-                    coordinates: vec![AxisValue {
-                        axis: "workload".to_string(),
-                        value: "zipf-0.99".to_string(),
-                    }],
-                    report,
+        Sweep {
+            axes: vec![axis.to_string()],
+            points: vec![SweepPoint {
+                coordinates: vec![AxisValue {
+                    axis: axis.to_string(),
+                    value: value.to_string(),
                 }],
-            },
+                report,
+            }],
+        }
+    }
+
+    #[test]
+    fn tail_table_rendering_is_pinned() {
+        let study = TailStudy {
+            sweep: one_point_tail_sweep("workload", "zipf-0.99"),
         };
         // The trim row is skipped (no samples); the quantiles resolve to
         // bucket upper bounds clamped to the observed maxima.

@@ -611,39 +611,23 @@ impl Ssd {
                 }
             }
             for p in 0..phys_pages {
-                let target = if is_write {
-                    self.allocator.next_write()
-                } else {
-                    self.allocator
-                        .locate(cmd.offset / page_bytes as u64 + p as u64)
-                };
-                let PageTarget {
-                    channel,
-                    way,
-                    die,
-                    addr,
-                } = target;
-                let pe = self.channels[channel as usize]
-                    .die(way, die)
-                    .expect("allocator targets are in range")
-                    .block_pe_cycles(addr);
                 if is_write {
-                    let enc_latency = self.ecc_encode_latency(page_bytes, pe);
-                    let enc =
-                        self.ecc_encoders[channel as usize].reserve(SimTime::ZERO, enc_latency);
-                    let flush = self.dram[buf]
-                        .access(enc.end, cmd.offset, page_bytes, AccessKind::Read)
-                        .end;
-                    let out = self.channels[channel as usize].execute(
-                        flush,
+                    let target = self.allocator.next_write();
+                    let done = self.program_page_at(SimTime::ZERO, buf, cmd.offset, target);
+                    last = last.max(done);
+                } else {
+                    let PageTarget {
+                        channel,
                         way,
                         die,
-                        NandOp::Program,
                         addr,
-                        raw_page_bytes,
-                    );
-                    last = last.max(out.complete_at);
-                } else {
+                    } = self
+                        .allocator
+                        .locate(cmd.offset / page_bytes as u64 + p as u64);
+                    let pe = self.channels[channel as usize]
+                        .die(way, die)
+                        .expect("allocator targets are in range")
+                        .block_pe_cycles(addr);
                     let out = self.channels[channel as usize].execute(
                         SimTime::ZERO,
                         way,

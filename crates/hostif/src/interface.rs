@@ -2,17 +2,6 @@
 
 use ssdx_sim::SimTime;
 
-/// Which concrete host interface a configuration instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HostInterfaceKind {
-    /// Serial ATA II (3 Gb/s) with Native Command Queuing.
-    Sata2,
-    /// Serial ATA III (6 Gb/s) with Native Command Queuing.
-    Sata3,
-    /// NVM Express over PCI Express.
-    NvmePcie,
-}
-
 /// Timing behaviour every host interface model must expose.
 ///
 /// The SSD model is interface-agnostic: it only needs the link occupancy of
@@ -24,9 +13,6 @@ pub enum HostInterfaceKind {
 /// thread of a parallel sweep executor. Interface models are timing
 /// calculators over plain data, so the bound costs implementors nothing.
 pub trait HostInterface: Send + Sync {
-    /// Which interface this is.
-    fn kind(&self) -> HostInterfaceKind;
-
     /// Ideal payload bandwidth of the link, bytes per second, after encoding
     /// overhead but before protocol overhead ("SATA ideal" / "PCIE ideal" in
     /// the paper's figures).
@@ -71,9 +57,6 @@ mod tests {
     struct Dummy;
 
     impl HostInterface for Dummy {
-        fn kind(&self) -> HostInterfaceKind {
-            HostInterfaceKind::Sata2
-        }
         fn ideal_bandwidth(&self) -> u64 {
             100_000_000
         }

@@ -38,7 +38,7 @@ pub use command::{HostCommand, HostOp};
 pub use generative::{
     degraded_probe, BurstyWorkload, MixedSizeWorkload, RmwWorkload, ZipfianWorkload,
 };
-pub use interface::{HostInterface, HostInterfaceKind};
+pub use interface::HostInterface;
 pub use nvme::{NvmeInterface, PcieGen};
 pub use sata::SataInterface;
 pub use source::{

@@ -1,6 +1,6 @@
 //! PCI Express / NVM Express host interface model.
 
-use crate::interface::{HostInterface, HostInterfaceKind};
+use crate::interface::HostInterface;
 use ssdx_sim::SimTime;
 
 /// PCI Express generations supported by the model.
@@ -101,10 +101,6 @@ impl Default for NvmeInterface {
 }
 
 impl HostInterface for NvmeInterface {
-    fn kind(&self) -> HostInterfaceKind {
-        HostInterfaceKind::NvmePcie
-    }
-
     fn ideal_bandwidth(&self) -> u64 {
         let raw_bits = self.gen.line_rate_per_lane() as f64 * self.lanes as f64;
         let payload_bits = raw_bits * self.gen.encoding_efficiency() * self.protocol_efficiency;

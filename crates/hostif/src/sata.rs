@@ -1,6 +1,6 @@
 //! Serial ATA host interface model.
 
-use crate::interface::{HostInterface, HostInterfaceKind};
+use crate::interface::HostInterface;
 use ssdx_sim::SimTime;
 
 /// A SATA host interface with Native Command Queuing.
@@ -56,14 +56,6 @@ impl Default for SataInterface {
 }
 
 impl HostInterface for SataInterface {
-    fn kind(&self) -> HostInterfaceKind {
-        if self.gen3 {
-            HostInterfaceKind::Sata3
-        } else {
-            HostInterfaceKind::Sata2
-        }
-    }
-
     fn ideal_bandwidth(&self) -> u64 {
         // 8b/10b: 10 line bits per payload byte, then framing efficiency.
         ((self.line_rate_bps / 10) as f64 * self.framing_efficiency) as u64
@@ -106,8 +98,6 @@ mod tests {
         let s2 = SataInterface::sata2();
         let s3 = SataInterface::sata3();
         assert!(s3.ideal_bandwidth() > 19 * s2.ideal_bandwidth() / 10);
-        assert_eq!(s3.kind(), HostInterfaceKind::Sata3);
-        assert_eq!(s2.kind(), HostInterfaceKind::Sata2);
     }
 
     #[test]

@@ -155,9 +155,9 @@ pub const RULES: &[RuleSpec] = &[
             ),
             (
                 "crates/server",
-                "service I/O concurrency (acceptor, connection readers/writers, worker \
-                 pool, load generator) is not simulation work; determinism is preserved \
-                 per session, not per thread schedule",
+                "service I/O concurrency (acceptor, connection readers/writers, load \
+                 generator) is not simulation work; determinism is preserved per \
+                 session, not per thread schedule",
             ),
         ],
         skip_test_code: false,

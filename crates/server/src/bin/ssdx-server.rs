@@ -8,7 +8,7 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 usage: ssdx-server [options]
   --bind ADDR           listen address (default 127.0.0.1:7070; port 0 = ephemeral)
-  --workers N           session worker threads (default 4)
+  --workers N           session operations run at once (default 4)
   --max-sessions N      concurrent session cap (default 1024)
   --telemetry-queue N   per-connection telemetry queue depth (default 256)
   --quiet               suppress the log on stderr

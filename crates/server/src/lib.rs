@@ -13,8 +13,9 @@
 //!
 //! * [`frame`] — length-prefixed framing with a hostile-length cap;
 //! * [`proto`] — `Request`/`Response`/`Telemetry` messages + codecs;
-//! * [`server`] — the TCP frontend: acceptor, connection threads,
-//!   bounded worker pool, graceful drain;
+//! * [`server`] — the TCP frontend: acceptor, connection threads that
+//!   run the session work they read under a `--workers` cap, graceful
+//!   drain;
 //! * [`client`] — a blocking protocol client;
 //! * [`load`] — the load generator behind `ssdx-loadgen`.
 //!
@@ -61,7 +62,6 @@ pub mod proto;
 pub mod server;
 
 mod outbound;
-mod pool;
 mod sessions;
 
 pub use client::{Client, ClientError, SessionProgress};

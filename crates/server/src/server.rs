@@ -1,28 +1,28 @@
 //! The `ssdx-server` TCP frontend: accept loop, per-connection threads
-//! and request dispatch.
+//! and request execution.
 //!
-//! Thread shape: one acceptor, two threads per connection (a reader that
-//! decodes requests and waits for replies, a writer that drains the
-//! connection's `Outbound` queue), and a bounded `WorkerPool` that
-//! runs every session operation. The reader blocks on its request's
-//! reply before reading the next frame, which gives the control channel
-//! its ordered, exactly-one-reply-per-request discipline by
-//! construction.
+//! Thread shape: one acceptor and two threads per connection: a reader
+//! that decodes each request and runs it, and a writer that drains the
+//! connection's `Outbound` queue. The reader queues a request's reply
+//! before reading the next frame, which gives the control channel its
+//! ordered, exactly-one-reply-per-request discipline by construction.
+//! A session operation runs only while its reader holds one of the
+//! `workers` permits, which are granted in arrival order.
 //!
 //! Shutdown (a `Shutdown` request or [`Server::shutdown`]) is graceful:
-//! the acceptor stops admitting connections, the worker pool drains every
-//! queued job, each connection is sent a final `ShuttingDown` control
+//! the acceptor stops admitting connections and no permit is granted any
+//! more; once every running operation has queued its reply and returned
+//! its permit, each connection is sent a final `ShuttingDown` control
 //! frame, and the writers flush before the sockets close.
 
 use crate::frame::{read_frame, write_frame};
 use crate::outbound::Outbound;
-use crate::pool::WorkerPool;
 use crate::proto::{ErrorCode, Request, Response, PROTOCOL_VERSION};
-use crate::sessions::{AdvanceMode, Failure, SessionHost};
+use crate::sessions::{contain_panic, AdvanceMode, Failure, SessionHost};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// A sink for server log lines (the library never prints directly).
@@ -34,7 +34,9 @@ pub struct ServerConfig {
     /// Address to listen on. Port 0 picks an ephemeral port (see
     /// [`Server::local_addr`]).
     pub bind: String,
-    /// Worker threads executing session operations.
+    /// How many session operations run at once (at least one). Each runs
+    /// on the connection thread that read it; further requests wait
+    /// their turn in arrival order.
     pub workers: usize,
     /// Maximum concurrently live sessions. Each hosted session keeps its
     /// whole simulation state in memory (platform, FTL maps), so this cap
@@ -74,8 +76,7 @@ struct ConnHandle {
 struct Shared {
     cfg: ServerConfig,
     host: SessionHost,
-    pool: WorkerPool,
-    stopping: AtomicBool,
+    permits: Permits,
     conns: Mutex<Vec<ConnHandle>>,
     log: Mutex<Option<LogSink>>,
     local_addr: SocketAddr,
@@ -87,6 +88,91 @@ impl Shared {
         if let Some(sink) = sink.as_mut() {
             let _ = writeln!(sink, "ssdx-server: {line}");
             let _ = sink.flush();
+        }
+    }
+}
+
+/// The `workers` cap on running session operations: a counter and a
+/// condvar. Each caller takes a ticket and is admitted in ticket order,
+/// and once shutdown has begun no permit is granted. An admitted caller
+/// returns its permit with [`Permits::release`].
+struct Permits {
+    state: Mutex<PermitState>,
+    cv: Condvar,
+    limit: usize,
+}
+
+struct PermitState {
+    /// The ticket the next caller takes.
+    next_ticket: u64,
+    /// The ticket whose turn it is.
+    turn: u64,
+    /// Permits held.
+    running: usize,
+    /// Set once shutdown has begun.
+    closed: bool,
+}
+
+impl Permits {
+    fn new(limit: usize) -> Permits {
+        Permits {
+            state: Mutex::new(PermitState {
+                next_ticket: 0,
+                turn: 0,
+                running: 0,
+                closed: false,
+            }),
+            cv: Condvar::new(),
+            limit: limit.max(1),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PermitState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Waits for the caller's turn and a free permit. Returns `false` if
+    /// the turn comes after shutdown has begun; the turn passes on.
+    fn admit(&self) -> bool {
+        let mut state = self.lock();
+        let ticket = state.next_ticket;
+        state.next_ticket += 1;
+        while ticket != state.turn || (!state.closed && state.running >= self.limit) {
+            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        state.turn += 1;
+        let admitted = !state.closed;
+        if admitted {
+            state.running += 1;
+        }
+        drop(state);
+        // The next ticket's turn has come.
+        self.cv.notify_all();
+        admitted
+    }
+
+    fn release(&self) {
+        self.lock().running -= 1;
+        self.cv.notify_all();
+    }
+
+    /// Grants no further permit. Returns `false` if shutdown had already
+    /// begun.
+    fn close(&self) -> bool {
+        let was_open = !std::mem::replace(&mut self.lock().closed, true);
+        self.cv.notify_all();
+        was_open
+    }
+
+    fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+
+    /// Blocks until no permit is held.
+    fn wait_idle(&self) {
+        let mut state = self.lock();
+        while state.running > 0 {
+            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -110,11 +196,9 @@ impl Server {
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.bind)?;
         let local_addr = listener.local_addr()?;
-        let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             host: SessionHost::new(cfg.max_sessions),
-            pool: WorkerPool::new(workers),
-            stopping: AtomicBool::new(false),
+            permits: Permits::new(cfg.workers),
             conns: Mutex::new(Vec::new()),
             log: Mutex::new(None),
             local_addr,
@@ -169,12 +253,11 @@ impl Server {
 }
 
 fn trigger_shutdown(shared: &Shared) {
-    if shared.stopping.swap(true, Ordering::SeqCst) {
-        return;
+    if shared.permits.close() {
+        // Unblock the acceptor: it re-checks for shutdown after every
+        // accept.
+        let _ = TcpStream::connect(shared.local_addr);
     }
-    shared.host.drain();
-    // Unblock the acceptor: it re-checks `stopping` after every accept.
-    let _ = TcpStream::connect(shared.local_addr);
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
@@ -182,7 +265,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     loop {
         match listener.accept() {
             Ok((stream, peer)) => {
-                if shared.stopping.load(Ordering::SeqCst) {
+                if shared.permits.is_closed() {
                     break;
                 }
                 reap_finished(shared);
@@ -192,7 +275,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 }
             }
             Err(e) => {
-                if shared.stopping.load(Ordering::SeqCst) {
+                if shared.permits.is_closed() {
                     break;
                 }
                 shared.log(&format!("accept error: {e}"));
@@ -228,16 +311,18 @@ fn join_conn(conn: &mut ConnHandle) {
 }
 
 /// The graceful-shutdown tail, run by the acceptor after its loop exits:
-/// drain queued session work, notify and close every connection, join.
+/// wait for running session work, notify and close every connection,
+/// join.
 fn drain(shared: &Shared) {
     shared.log("shutting down: draining in-flight work");
-    shared.pool.shutdown();
+    // Every operation queues its reply before it returns its permit, so
+    // once none is held no reply can follow the broadcast.
+    shared.permits.wait_idle();
     let mut conns = std::mem::take(&mut *shared.conns.lock().unwrap_or_else(|e| e.into_inner()));
     for conn in &conns {
-        // Broadcast the drain, then stop the inbound side. The reader —
-        // which may still be delivering the reply of an in-flight
-        // request — closes the outbound queue itself on exit, so control
-        // replies are flushed, never dropped, even here.
+        // Broadcast the drain, then stop the inbound side. The reader
+        // closes the outbound queue itself on exit, so control replies
+        // are flushed, never dropped, even here.
         conn.outbound.send_control(Response::ShuttingDown.encode());
         let _ = conn.stream.shutdown(Shutdown::Read);
     }
@@ -333,12 +418,22 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream, outbound: &Arc<Outbo
         None => return,
     }
     while let Some(request) = next_request(&mut stream, max_frame, outbound) {
-        let stop = matches!(request, Request::Shutdown);
-        let response = dispatch(shared, outbound, request);
-        outbound.send_control(response.encode());
-        if stop {
-            trigger_shutdown(shared);
-            break;
+        match request {
+            Request::Hello { .. } => outbound.send_control(
+                error_response(
+                    ErrorCode::MalformedRequest,
+                    "Hello is only valid as the first frame".to_owned(),
+                )
+                .encode(),
+            ),
+            Request::Shutdown => {
+                outbound.send_control(Response::ShuttingDown.encode());
+                trigger_shutdown(shared);
+                break;
+            }
+            request => serve(shared, outbound, || {
+                execute(&shared.host, outbound, request)
+            }),
         }
     }
 }
@@ -387,52 +482,46 @@ fn failure_response(failure: Failure) -> Response {
     }
 }
 
-/// Executes one request, scheduling session work onto the worker pool
-/// and blocking until its reply is ready.
-fn dispatch(shared: &Arc<Shared>, outbound: &Arc<Outbound>, request: Request) -> Response {
-    match request {
-        Request::Hello { .. } => error_response(
-            ErrorCode::MalformedRequest,
-            "Hello is only valid as the first frame".to_owned(),
-        ),
-        Request::Shutdown => Response::ShuttingDown,
-        other => run_session_job(shared, outbound, other),
+/// Runs one session operation on the calling connection thread: it waits
+/// for a permit, runs `op` under a panic guard and queues the reply
+/// before the permit is returned, so the shutdown broadcast (sent once no
+/// permit is held) never overtakes a reply.
+fn serve(shared: &Shared, outbound: &Outbound, op: impl FnOnce() -> Result<Response, Failure>) {
+    if !shared.permits.admit() {
+        outbound.send_control(
+            error_response(
+                ErrorCode::ShuttingDown,
+                "the server is shutting down".to_owned(),
+            )
+            .encode(),
+        );
+        return;
     }
+    // `SessionHost` discards a session that panics. This guard covers the
+    // rest of the request, such as parsing a new session's config, so a
+    // panic there still earns a reply and the connection stays usable.
+    let response = match contain_panic(op) {
+        Ok(Ok(response)) => response,
+        Ok(Err(failure)) | Err(failure) => {
+            shared.log(&format!(
+                "request failed: {} ({})",
+                failure.code, failure.message
+            ));
+            failure_response(failure)
+        }
+    };
+    outbound.send_control(response.encode());
+    shared.permits.release();
 }
 
-fn run_session_job(shared: &Arc<Shared>, outbound: &Arc<Outbound>, request: Request) -> Response {
-    if shared.stopping.load(Ordering::SeqCst) {
-        return error_response(
-            ErrorCode::ShuttingDown,
-            "the server is shutting down".to_owned(),
-        );
-    }
-    let (tx, rx) = mpsc::channel();
-    let job_shared = Arc::clone(shared);
-    let job_outbound = Arc::clone(outbound);
-    let queued = shared.pool.submit(Box::new(move || {
-        let response = execute(&job_shared, &job_outbound, request);
-        let _ = tx.send(response);
-    }));
-    if !queued {
-        return error_response(
-            ErrorCode::ShuttingDown,
-            "the server is shutting down".to_owned(),
-        );
-    }
-    rx.recv().unwrap_or_else(|_| {
-        error_response(
-            ErrorCode::SessionFailed,
-            "the session operation did not complete".to_owned(),
-        )
-    })
-}
-
-/// The worker-side request handlers: every arm is a [`SessionHost`] call
+/// The session request handlers: every arm is a [`SessionHost`] call
 /// translated to its protocol reply.
-fn execute(shared: &Shared, outbound: &Arc<Outbound>, request: Request) -> Response {
-    let host = &shared.host;
-    let result = match request {
+fn execute(
+    host: &SessionHost,
+    outbound: &Arc<Outbound>,
+    request: Request,
+) -> Result<Response, Failure> {
+    match request {
         Request::CreateSession { config, workload } => host
             .create(&config, &workload)
             .map(|(session, _)| Response::SessionCreated { session }),
@@ -469,23 +558,11 @@ fn execute(shared: &Shared, outbound: &Arc<Outbound>, request: Request) -> Respo
         Request::CloseSession { session } => {
             host.close(session).map(|()| Response::Closed { session })
         }
-        // Hello and Shutdown are handled on the connection thread.
-        Request::Hello { .. } | Request::Shutdown => {
-            return error_response(
-                ErrorCode::MalformedRequest,
-                "not a session operation".to_owned(),
-            )
-        }
-    };
-    match result {
-        Ok(response) => response,
-        Err(failure) => {
-            shared.log(&format!(
-                "request failed: {} ({})",
-                failure.code, failure.message
-            ));
-            failure_response(failure)
-        }
+        // Hello and Shutdown never reach here: the reader answers them.
+        Request::Hello { .. } | Request::Shutdown => Err(Failure {
+            code: ErrorCode::MalformedRequest,
+            message: "not a session operation".to_owned(),
+        }),
     }
 }
 
@@ -496,5 +573,111 @@ fn progress(session: u32, a: crate::sessions::Advance) -> Response {
         now: a.now,
         completed: a.completed,
         remaining: a.remaining,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::ServerMessage;
+
+    fn test_shared(workers: usize) -> Shared {
+        Shared {
+            cfg: ServerConfig::default(),
+            host: SessionHost::new(1),
+            permits: Permits::new(workers),
+            conns: Mutex::new(Vec::new()),
+            log: Mutex::new(None),
+            local_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+        }
+    }
+
+    fn next_response(outbound: &Outbound) -> Response {
+        let frame = outbound.next().expect("a queued reply");
+        match ServerMessage::decode(&frame).expect("replies decode") {
+            ServerMessage::Response(response) => response,
+            other => panic!("expected a control reply, got {other:?}"),
+        }
+    }
+
+    /// Waits until `tickets` tickets have been handed out.
+    fn wait_for_tickets(permits: &Permits, tickets: u64) {
+        while permits.lock().next_ticket < tickets {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn permits_are_granted_in_arrival_order() {
+        let permits = Permits::new(1);
+        let order = Mutex::new(Vec::new());
+        assert!(permits.admit());
+        std::thread::scope(|s| {
+            for waiter in 1..=3 {
+                let (permits, order) = (&permits, &order);
+                s.spawn(move || {
+                    assert!(permits.admit());
+                    order.lock().unwrap().push(waiter);
+                    permits.release();
+                });
+                // The next waiter arrives only once this one holds a ticket.
+                wait_for_tickets(permits, waiter + 1);
+            }
+            permits.release();
+        });
+        assert_eq!(order.into_inner().unwrap(), [1, 2, 3]);
+    }
+
+    #[test]
+    fn shutdown_refuses_waiting_and_new_work_and_waits_for_running_work() {
+        let permits = Permits::new(1);
+        assert!(permits.admit());
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| permits.admit());
+            wait_for_tickets(&permits, 2);
+            assert!(permits.close());
+            assert!(!permits.close(), "shutdown begins once");
+            assert!(!waiter.join().unwrap(), "a waiter is refused, not admitted");
+            assert!(!permits.admit(), "so is a new arrival");
+            let idle = s.spawn(|| permits.wait_idle());
+            assert!(!idle.is_finished(), "one operation still runs");
+            permits.release();
+            idle.join().unwrap();
+        });
+        assert_eq!(permits.lock().running, 0);
+    }
+
+    #[test]
+    fn every_session_request_earns_exactly_one_reply() {
+        let shared = test_shared(1);
+        let outbound = Outbound::new(1);
+        // A panic outside the session guard still earns a reply, and its
+        // permit comes back: with one permit the next request would
+        // otherwise wait forever.
+        serve(&shared, &outbound, || panic!("injected request failure"));
+        serve(&shared, &outbound, || Ok(Response::Closed { session: 7 }));
+        // After shutdown has begun a request is answered without running.
+        assert!(shared.permits.close());
+        serve(&shared, &outbound, || panic!("must not run"));
+        match next_response(&outbound) {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::SessionFailed);
+                assert!(message.contains("injected request failure"), "{message}");
+            }
+            other => panic!("expected a session-failed reply, got {other:?}"),
+        }
+        assert!(matches!(
+            next_response(&outbound),
+            Response::Closed { session: 7 }
+        ));
+        assert!(matches!(
+            next_response(&outbound),
+            Response::Error {
+                code: ErrorCode::ShuttingDown,
+                ..
+            }
+        ));
+        outbound.close();
+        assert!(outbound.next().is_none(), "one reply per request");
     }
 }

@@ -25,7 +25,7 @@
 //! Concurrency: the table lock is held only to check a session out or
 //! in. While an operation runs, the slot is marked busy and other
 //! requests for the *same* session wait on a condvar; different sessions
-//! proceed in parallel on the worker pool.
+//! proceed in parallel, each on the connection thread that asked for it.
 
 use crate::outbound::Outbound;
 use crate::proto::{ErrorCode, Telemetry, WorkloadSpec};
@@ -98,7 +98,6 @@ enum Slot {
 struct TableState {
     next_id: u32,
     slots: BTreeMap<u32, Slot>,
-    draining: bool,
 }
 
 /// The shared session table.
@@ -115,7 +114,6 @@ impl SessionHost {
             state: Mutex::new(TableState {
                 next_id: 1,
                 slots: BTreeMap::new(),
-                draining: false,
             }),
             cv: Condvar::new(),
             max_sessions: max_sessions.max(1),
@@ -131,30 +129,20 @@ impl SessionHost {
         self.lock().slots.len()
     }
 
-    /// Stops admitting new sessions (graceful shutdown). In-flight and
-    /// queued operations on existing sessions still complete.
-    pub(crate) fn drain(&self) {
-        self.lock().draining = true;
-    }
-
-    /// Creates a session; returns its id and the command count.
+    /// Creates a session; returns its id and the command count. A full
+    /// table refuses it before the config text is even parsed.
     pub(crate) fn create(
         &self,
         config_text: &str,
         spec: &WorkloadSpec,
     ) -> Result<(u32, u64), Failure> {
-        if self.lock().draining {
-            return Err(Failure::new(
-                ErrorCode::ShuttingDown,
-                "the server is shutting down",
-            ));
-        }
+        self.has_room(&self.lock())?;
         let config = SsdConfig::from_text(config_text)
             .map_err(|e| Failure::new(ErrorCode::BadConfig, e.to_string()))?;
         let source = spec
             .build()
             .map_err(|e| Failure::new(ErrorCode::BadWorkload, e))?;
-        let session = guard_simulation(|| {
+        let session = contain_panic(|| {
             Ssd::try_new(config)
                 .map(|ssd| ssd.into_session(source))
                 .map_err(|e| Failure::new(ErrorCode::BadConfig, e.to_string()))
@@ -251,7 +239,9 @@ impl SessionHost {
 
     /// Forks a session: the new session is an in-memory copy of the
     /// parent's current state; the parent is untouched. Returns the new id.
+    /// A full table refuses it before the parent is copied.
     pub(crate) fn fork(&self, id: u32) -> Result<u32, Failure> {
+        self.has_room(&self.lock())?;
         let child = self.with_entry(id, |entry| {
             Ok(Box::new(SessionEntry {
                 session: entry.session.duplicate(),
@@ -285,14 +275,23 @@ impl SessionHost {
         Ok(())
     }
 
-    fn insert(&self, entry: Box<SessionEntry>) -> Result<u32, Failure> {
-        let mut state = self.lock();
-        if state.slots.len() >= self.max_sessions {
-            return Err(Failure::new(
+    /// Refuses a new session when the table is full. `create` and `fork`
+    /// ask before they build anything; `insert` asks again under the lock
+    /// that admits the session, for the race between the two.
+    fn has_room(&self, state: &TableState) -> Result<(), Failure> {
+        if state.slots.len() < self.max_sessions {
+            Ok(())
+        } else {
+            Err(Failure::new(
                 ErrorCode::SessionLimit,
                 format!("session limit ({}) reached", self.max_sessions),
-            ));
+            ))
         }
+    }
+
+    fn insert(&self, entry: Box<SessionEntry>) -> Result<u32, Failure> {
+        let mut state = self.lock();
+        self.has_room(&state)?;
         let id = state.next_id;
         state.next_id += 1;
         state.slots.insert(id, Slot::Ready(entry));
@@ -328,7 +327,7 @@ impl SessionHost {
         f: impl FnOnce(&mut SessionEntry) -> Result<R, Failure>,
     ) -> Result<R, Failure> {
         let mut entry = self.checkout(id)?;
-        match guard_simulation(|| f(&mut entry)) {
+        match contain_panic(|| f(&mut entry)) {
             Ok(result) => {
                 self.checkin(id, entry);
                 result
@@ -346,7 +345,7 @@ impl SessionHost {
 
 /// Runs `f` under `catch_unwind`, translating a panic into a
 /// [`ErrorCode::SessionFailed`] failure carrying the panic message.
-fn guard_simulation<R>(f: impl FnOnce() -> R) -> Result<R, Failure> {
+pub(crate) fn contain_panic<R>(f: impl FnOnce() -> R) -> Result<R, Failure> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         let message = if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_owned()
@@ -523,11 +522,18 @@ mod tests {
     #[test]
     fn session_limit_is_enforced() {
         let host = SessionHost::new(1);
-        host.create(&small_config_text(), &small_spec()).unwrap();
+        let (id, _) = host.create(&small_config_text(), &small_spec()).unwrap();
         let err = host
             .create(&small_config_text(), &small_spec())
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::SessionLimit);
+        // The cap is checked before anything is built: text that does not
+        // even parse is refused for the cap, and so is a fork.
+        let malformed = "this is not config text\n";
+        assert!(SsdConfig::from_text(malformed).is_err());
+        let err = host.create(malformed, &small_spec()).unwrap_err();
+        assert_eq!(err.code, ErrorCode::SessionLimit);
+        assert_eq!(host.fork(id).unwrap_err().code, ErrorCode::SessionLimit);
     }
 
     #[test]

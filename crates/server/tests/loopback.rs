@@ -8,10 +8,13 @@
 use proptest::prelude::*;
 use ssdx_core::PerfReport;
 use ssdx_hostif::AccessPattern;
+use ssdx_server::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
 use ssdx_server::{
-    Client, ClientError, ErrorCode, LoadgenConfig, Server, ServerConfig, Telemetry, WorkloadSpec,
+    Client, ClientError, ErrorCode, LoadgenConfig, Request, Response, Server, ServerConfig,
+    ServerMessage, Telemetry, WorkloadSpec, PROTOCOL_VERSION,
 };
 use ssdx_sim::SimTime;
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn ephemeral_server() -> Server {
@@ -397,4 +400,67 @@ fn shutdown_drains_other_connections_with_a_broadcast() {
     if let Ok(progress) = bystander.step(session, 1) {
         panic!("stepped a drained server: {progress:?}");
     }
+}
+
+/// The shutdown order of docs/OPERATIONS.md, seen by a connection whose
+/// long run is in flight when another connection asks for shutdown: the
+/// run's `Progress` reply, then the `ShuttingDown` broadcast, then a
+/// clean close. Should the run end before the request arrives, the order
+/// is the same.
+#[test]
+fn shutdown_broadcasts_only_after_in_flight_replies() {
+    let server = ephemeral_server();
+    let mut closer = Client::connect(server.local_addr()).expect("connect closer");
+    let long_run = WorkloadSpec::Basic {
+        pattern: AccessPattern::RandomWrite,
+        block_size: 4096,
+        command_count: 50_000,
+        footprint_bytes: 1 << 24,
+        seed: 5,
+    };
+    let session = closer
+        .create_session(&test_config_text(), &long_run)
+        .expect("create");
+
+    let mut runner = TcpStream::connect(server.local_addr()).expect("connect runner");
+    let mut send = |request: Request| write_frame(&mut runner, &request.encode()).expect("send");
+    send(Request::Hello {
+        version: PROTOCOL_VERSION,
+    });
+    send(Request::Subscribe {
+        session,
+        sample_every: 0,
+    });
+    send(Request::RunUntil {
+        session,
+        deadline: SimTime::MAX,
+    });
+    // Every frame the runner reads, control replies kept in order. Its
+    // first telemetry frame shows the run has started.
+    let mut control = Vec::new();
+    let mut next_frame = |runner: &mut TcpStream| {
+        let payload = read_frame(runner, MAX_FRAME_BYTES).expect("frames arrive whole")?;
+        let message = ServerMessage::decode(&payload).expect("server frames decode");
+        if let ServerMessage::Response(response) = &message {
+            control.push(response.clone());
+        }
+        Some(message)
+    };
+    while let Some(ServerMessage::Response(_)) = next_frame(&mut runner) {}
+
+    closer.shutdown_server().expect("shutdown");
+    while next_frame(&mut runner).is_some() {}
+    assert!(
+        matches!(
+            control[..],
+            [
+                Response::HelloAck { .. },
+                Response::Subscribed { .. },
+                Response::Progress { remaining: 0, .. },
+                Response::ShuttingDown,
+            ]
+        ),
+        "control replies out of order: {control:?}"
+    );
+    server.wait().expect("clean exit");
 }
