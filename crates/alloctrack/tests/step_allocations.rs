@@ -3,8 +3,9 @@
 //! working set), driving a `SimSession` command by command performs **zero
 //! heap allocations per step** — in the WAF-abstracted mode, in the
 //! page-mapped FTL mode (including garbage collection, which runs on the
-//! FTL's reusable relocation buffer), with a capacity-reserved probe
-//! attached, and on a session that owns its platform.
+//! FTL's reusable relocation buffer), in a loop that keeps every record and
+//! snapshot in capacity-reserved buffers, and on a session that owns its
+//! platform.
 //!
 //! This file is its own test binary so it can install a counting global
 //! allocator without affecting any other suite.
@@ -14,9 +15,7 @@
 //! for the test to finish, and that can land inside a measurement window.
 //! Only allocations made by the measuring thread are the hot path's.
 
-use ssdx_core::{
-    ClassHistograms, CompletionLog, FtlMode, LatencyHistogram, Ssd, SsdConfig, SteadyStateCutoff,
-};
+use ssdx_core::{ClassHistograms, FtlMode, LatencyHistogram, Ssd, SsdConfig, SteadyStateCutoff};
 use ssdx_hostif::{AccessPattern, HostOp, Workload};
 use ssdx_sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -154,24 +153,29 @@ fn stepping_a_warm_session_never_allocates() {
         "histogram construct/record/merge/quantile must never allocate"
     );
 
-    // A capacity-reserved probe observes every record without allocating.
-    let mut ssd = Ssd::new(config("probe-alloc").build().unwrap());
+    // A step loop that keeps every record and samples a snapshot every 64
+    // commands, into capacity-reserved buffers, never allocates.
+    let mut ssd = Ssd::new(config("record-alloc").build().unwrap());
     let w = workload(AccessPattern::SequentialWrite, 256);
     let _ = ssd.session(&w).finish();
-    let mut log = CompletionLog::with_capacity(256, 16);
+    let mut records = Vec::with_capacity(256);
+    let mut snapshots = Vec::with_capacity(16);
     let mut session = ssd.session(&w);
-    session.attach(&mut log);
-    session.sample_every(64);
     let before = allocations();
-    while session.step().is_some() {}
+    while let Some(record) = session.step() {
+        records.push(record);
+        if session.completed() % 64 == 0 {
+            snapshots.push(session.snapshot());
+        }
+    }
     let after = allocations();
     drop(session);
-    assert_eq!(log.records().len(), 256);
-    assert_eq!(log.snapshots().len(), 4);
+    assert_eq!(records.len(), 256);
+    assert_eq!(snapshots.len(), 4);
     assert_eq!(
         after - before,
         0,
-        "probed step loop allocated {} times",
+        "recording step loop allocated {} times",
         after - before
     );
 }

@@ -8,8 +8,10 @@
 //! ([`SsdConfig`]). Execution is session based: any
 //! [`CommandSource`](ssdx_hostif::CommandSource) — a synthetic workload, a
 //! trace, a closure generator — runs through [`Ssd::simulate`] in one shot,
-//! or through a steppable [`SimSession`] with [`Probe`] observers for
-//! mid-run sampling. On top sits the generic [`Explorer`] sweep engine —
+//! or through a steppable [`SimSession`] whose [`step`](SimSession::step)
+//! returns each completion record and whose
+//! [`snapshot`](SimSession::snapshot) samples the run mid-flight. On top
+//! sits the generic [`Explorer`] sweep engine —
 //! with the [`ParallelExecutor`] fanning its [`SweepJob`]s out across all
 //! cores while keeping results byte-identical to a sequential run (see the
 //! determinism contract on [`Explorer`]) — and the drivers that regenerate
@@ -80,6 +82,6 @@ pub use metrics::{
 };
 pub use parallel::ParallelExecutor;
 pub use report::{PerfReport, UtilizationBreakdown};
-pub use session::{CommandRecord, CompletionLog, Probe, SessionSnapshot, SimSession};
+pub use session::{CommandRecord, SessionSnapshot, SimSession};
 pub use snapshot::{Snapshot, StateInventoryEntry, SNAPSHOT_VERSION, STATE_INVENTORY};
 pub use ssd::Ssd;

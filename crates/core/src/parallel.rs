@@ -238,7 +238,8 @@ mod tests {
         fn assert_send<T: Send>() {}
         fn assert_sync<T: Sync>() {}
         assert_send::<Ssd>();
-        // Owned sessions move between threads (the server's worker pool).
+        // Owned sessions move between threads: each server connection
+        // thread checks them out of one shared session table.
         assert_send::<SimSession<'static>>();
         assert_send::<SweepJob>();
         assert_sync::<SweepJob>();

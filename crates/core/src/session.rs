@@ -1,13 +1,14 @@
-//! Steppable simulation sessions with observer probes.
+//! Steppable simulation sessions.
 //!
 //! [`Ssd::session`] turns any [`CommandSource`]
 //! into a [`SimSession`]: an
 //! in-flight simulation that can be advanced one command at a time
 //! ([`step`](SimSession::step)), up to a simulated deadline
 //! ([`run_until`](SimSession::run_until)), or to completion
-//! ([`finish`](SimSession::finish)). Mid-run state — per-command completion
-//! records, protocol-window occupancy, per-component utilization — is
-//! observable through [`Probe`]s and [`snapshot`](SimSession::snapshot), so
+//! ([`finish`](SimSession::finish)). Mid-run state is observable as it
+//! happens: `step` returns each command's completion record, and
+//! [`snapshot`](SimSession::snapshot) samples protocol-window occupancy,
+//! latency and per-component utilization whenever the caller asks. So
 //! design-space exploration can sample latency and queue depth *during* a
 //! run instead of only post-hoc, which is the fine-grained visibility the
 //! paper's platform is built around.
@@ -15,18 +16,24 @@
 //! # Example
 //!
 //! ```
-//! use ssdx_core::{CompletionLog, Ssd, SsdConfig};
+//! use ssdx_core::{Ssd, SsdConfig};
 //! use ssdx_hostif::{AccessPattern, Workload};
 //!
 //! let mut ssd = Ssd::try_new(SsdConfig::default())?;
 //! let workload = Workload::builder(AccessPattern::SequentialWrite)
 //!     .command_count(64)
 //!     .build();
-//! let mut log = CompletionLog::new();
 //! let mut session = ssd.session(&workload);
-//! session.attach(&mut log);
+//! let (mut records, mut samples) = (Vec::new(), Vec::new());
+//! while let Some(record) = session.step() {
+//!     records.push(record);
+//!     if session.completed() % 16 == 0 {
+//!         samples.push(session.snapshot());
+//!     }
+//! }
 //! let report = session.finish();
-//! assert_eq!(log.records().len(), 64);
+//! assert_eq!(records.len(), 64);
+//! assert_eq!(samples.len(), 4);
 //! assert_eq!(report.commands, 64);
 //! # Ok::<(), ssdx_core::ConfigError>(())
 //! ```
@@ -47,8 +54,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// One completed host command, as delivered to [`Probe::on_command`] and
-/// returned by [`SimSession::step`].
+/// One completed host command, as returned by [`SimSession::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandRecord {
     /// Zero-based position of the command in the source stream.
@@ -69,7 +75,7 @@ impl CommandRecord {
 }
 
 /// A mid-run sample of the session, as produced by
-/// [`SimSession::snapshot`] and delivered to [`Probe::on_snapshot`].
+/// [`SimSession::snapshot`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionSnapshot {
     /// Simulated instant of the sample (latest host-visible completion).
@@ -86,107 +92,6 @@ pub struct SessionSnapshot {
     pub bytes: u64,
     /// Per-component utilization over the activity horizon so far.
     pub utilization: UtilizationBreakdown,
-}
-
-/// Observer of an in-flight [`SimSession`].
-///
-/// All methods have empty defaults, so a probe implements only what it
-/// cares about. [`SimSession::attach`] takes `Probe + Send` probes, so a
-/// session that owns its platform stays `Send` with its probes attached.
-/// For every run the session guarantees the ordering:
-/// [`on_command`](Probe::on_command) fires once per command in stream
-/// order, [`on_snapshot`](Probe::on_snapshot) fires between commands at the
-/// configured cadence, and [`on_finish`](Probe::on_finish) fires exactly
-/// once, last.
-pub trait Probe {
-    /// Called after each command completes, in stream order.
-    fn on_command(&mut self, record: &CommandRecord) {
-        let _ = record;
-    }
-
-    /// Called with a utilization/latency sample every
-    /// [`sample_every`](SimSession::sample_every) commands.
-    fn on_snapshot(&mut self, snapshot: &SessionSnapshot) {
-        let _ = snapshot;
-    }
-
-    /// Called once when the session finishes, with the final report.
-    fn on_finish(&mut self, report: &PerfReport) {
-        let _ = report;
-    }
-}
-
-/// A ready-made [`Probe`] that records every [`CommandRecord`] and
-/// [`SessionSnapshot`] it observes — convenient for tests and for quick
-/// latency-over-time plots.
-#[derive(Debug, Clone, Default)]
-pub struct CompletionLog {
-    records: Vec<CommandRecord>,
-    snapshots: Vec<SessionSnapshot>,
-    finished: bool,
-}
-
-impl CompletionLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        CompletionLog::default()
-    }
-
-    /// Creates an empty log with room for `records` command records and
-    /// `snapshots` periodic snapshots. With sufficient capacity the log
-    /// never allocates while observing a run, preserving the session's
-    /// zero-allocations-per-step property (pinned by the
-    /// `step_allocations` suite).
-    pub fn with_capacity(records: usize, snapshots: usize) -> Self {
-        CompletionLog {
-            records: Vec::with_capacity(records),
-            snapshots: Vec::with_capacity(snapshots),
-            finished: false,
-        }
-    }
-
-    /// Every command completion observed, in stream order.
-    pub fn records(&self) -> &[CommandRecord] {
-        &self.records
-    }
-
-    /// Every periodic snapshot observed, in time order.
-    pub fn snapshots(&self) -> &[SessionSnapshot] {
-        &self.snapshots
-    }
-
-    /// `true` once [`Probe::on_finish`] has fired.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Builds per-command-class latency histograms from the recorded
-    /// completions, admitting only records past `warmup` — the post-hoc
-    /// equivalent of [`SimSession::steady_state`] for sessions observed
-    /// through a log. Never allocates (the histograms are inline arrays).
-    pub fn class_histograms(&self, warmup: SteadyStateCutoff) -> ClassHistograms {
-        let mut classes = ClassHistograms::new();
-        for r in &self.records {
-            if warmup.admits(r.index, r.completed_at) {
-                classes.record(r.command.op, r.latency());
-            }
-        }
-        classes
-    }
-}
-
-impl Probe for CompletionLog {
-    fn on_command(&mut self, record: &CommandRecord) {
-        self.records.push(*record);
-    }
-
-    fn on_snapshot(&mut self, snapshot: &SessionSnapshot) {
-        self.snapshots.push(*snapshot);
-    }
-
-    fn on_finish(&mut self, _report: &PerfReport) {
-        self.finished = true;
-    }
 }
 
 pub(crate) use storage::{Platform, Source};
@@ -297,7 +202,6 @@ mod storage {
 pub struct SimSession<'a> {
     ssd: Platform<'a>,
     label: String,
-    mix: WorkloadMix,
     source: Source<'a>,
     /// `source.len()`, read once at open.
     len: u64,
@@ -319,8 +223,6 @@ pub struct SimSession<'a> {
     steady_state: SteadyStateCutoff,
     total_bytes: u64,
     last_completion: SimTime,
-    probes: Vec<&'a mut (dyn Probe + Send)>,
-    sample_every: Option<u64>,
 }
 
 impl<'a> SimSession<'a> {
@@ -378,7 +280,6 @@ impl<'a> SimSession<'a> {
         SimSession {
             ssd,
             label,
-            mix,
             source,
             len,
             cursor: 0,
@@ -396,28 +297,12 @@ impl<'a> SimSession<'a> {
             steady_state: SteadyStateCutoff::None,
             total_bytes: 0,
             last_completion: SimTime::ZERO,
-            probes: Vec::new(),
-            sample_every: None,
         }
-    }
-
-    /// Registers a probe; its callbacks fire for every subsequent step. The
-    /// probe outlives the session, so its collected data can be read back
-    /// after [`finish`](Self::finish).
-    pub fn attach(&mut self, probe: &'a mut (dyn Probe + Send)) {
-        self.probes.push(probe);
-    }
-
-    /// Emits a [`SessionSnapshot`] to every probe each `commands` completed
-    /// commands (in addition to the per-command records). `0` disables
-    /// periodic snapshots again.
-    pub fn sample_every(&mut self, commands: u64) {
-        self.sample_every = if commands == 0 { None } else { Some(commands) };
     }
 
     /// Sets the steady-state cutoff for the per-class tail-latency
     /// histograms: completions the cutoff rejects are treated as warmup and
-    /// excluded from [`tail_latency`](Self::tail_latency) and the report's
+    /// excluded from the report's
     /// [`class_latency`](crate::PerfReport::class_latency).
     ///
     /// The whole-run [`latency`](crate::PerfReport::latency) histogram
@@ -425,22 +310,6 @@ impl<'a> SimSession<'a> {
     /// byte-identical regardless of the configured warmup.
     pub fn steady_state(&mut self, cutoff: SteadyStateCutoff) {
         self.steady_state = cutoff;
-    }
-
-    /// The per-command-class steady-state latency histograms recorded so
-    /// far (mid-run view of what [`finish`](Self::finish) reports).
-    pub fn tail_latency(&self) -> &ClassHistograms {
-        &self.classes
-    }
-
-    /// Report label of the underlying source.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Workload mix driving the WAF abstraction for this run.
-    pub fn mix(&self) -> WorkloadMix {
-        self.mix
     }
 
     /// Latest host-visible completion instant (zero before the first step).
@@ -487,11 +356,9 @@ impl<'a> SimSession<'a> {
     /// are byte-identical to continuing this session
     /// (`tests/snapshot_equivalence.rs` pins this).
     ///
-    /// This is the serialization counterpart of the probe sample
+    /// This is the serialization counterpart of the mid-run sample
     /// [`snapshot`](Self::snapshot): `snapshot` summarises observable
-    /// progress, `capture` serialises resumable state. Attached probes and
-    /// the sampling cadence are runtime observers, not simulation state,
-    /// and are not captured.
+    /// progress, `capture` serialises resumable state.
     pub fn capture(&self) -> Snapshot {
         let mut enc = Encoder::new();
         snapshot::encode_header(&mut enc, self.ssd.config());
@@ -579,9 +446,6 @@ impl<'a> SimSession<'a> {
     /// ([`Ssd::into_session`], or a duplicate of one) hands the copy the
     /// same `Arc`, and a session that borrows its source ([`Ssd::session`])
     /// lends the copy the same borrow. Neither copies the stream.
-    ///
-    /// Like `capture`, this copies simulation state only: attached probes
-    /// and the sampling cadence stay with this session.
     pub fn duplicate(&self) -> SimSession<'a> {
         let source = match &self.source {
             Source::Shared(source) => Source::Shared(Arc::clone(source)),
@@ -590,7 +454,6 @@ impl<'a> SimSession<'a> {
         SimSession {
             ssd: Platform::Owned(Box::new(Ssd::clone(&self.ssd))),
             label: self.label.clone(),
-            mix: self.mix,
             source,
             len: self.len,
             cursor: self.cursor,
@@ -608,8 +471,6 @@ impl<'a> SimSession<'a> {
             steady_state: self.steady_state,
             total_bytes: self.total_bytes,
             last_completion: self.last_completion,
-            probes: Vec::new(),
-            sample_every: None,
         }
     }
 
@@ -703,24 +564,12 @@ impl<'a> SimSession<'a> {
         }
         self.last_completion = self.last_completion.max(completed_at);
 
-        let record = CommandRecord {
+        Some(CommandRecord {
             index,
             command: cmd,
             admitted_at,
             completed_at,
-        };
-        for probe in &mut self.probes {
-            probe.on_command(&record);
-        }
-        if let Some(every) = self.sample_every {
-            if self.cursor % every == 0 && !self.probes.is_empty() {
-                let snapshot = self.snapshot();
-                for probe in &mut self.probes {
-                    probe.on_snapshot(&snapshot);
-                }
-            }
-        }
-        Some(record)
+        })
     }
 
     /// Cuts power mid-garbage-collection and replays the recovery. The
@@ -761,15 +610,14 @@ impl<'a> SimSession<'a> {
         executed
     }
 
-    /// Drains the remaining commands and produces the final report,
-    /// notifying every probe's [`Probe::on_finish`].
+    /// Drains the remaining commands and produces the final report.
     pub fn finish(mut self) -> PerfReport {
         while self.step().is_some() {}
         let reported_waf = match &self.ftl {
             Some(f) => f.stats().waf(),
             None => self.waf,
         };
-        let report = self.ssd.build_report(
+        self.ssd.build_report(
             &self.label,
             self.len,
             self.total_bytes,
@@ -777,11 +625,7 @@ impl<'a> SimSession<'a> {
             reported_waf,
             self.whole_run_latency(),
             self.classes,
-        );
-        for probe in &mut self.probes {
-            probe.on_finish(&report);
-        }
-        report
+        )
     }
 
     /// Every completion so far: the steady-state classes merged with the
@@ -1030,7 +874,6 @@ impl std::fmt::Debug for SimSession<'_> {
             .field("completed", &self.completed())
             .field("remaining", &self.remaining())
             .field("now", &self.last_completion)
-            .field("probes", &self.probes.len())
             .finish()
     }
 }
@@ -1115,50 +958,13 @@ mod tests {
     }
 
     #[test]
-    fn probes_observe_every_command_and_periodic_snapshots() {
-        let w = workload(96);
-        let mut ssd = platform();
-        let mut log = CompletionLog::new();
-        let mut session = ssd.session(&w);
-        session.attach(&mut log);
-        session.sample_every(32);
-        let report = session.finish();
-
-        assert_eq!(log.records().len(), 96);
-        assert!(log.is_finished());
-        assert_eq!(log.snapshots().len(), 3, "one snapshot every 32 commands");
-        for (i, r) in log.records().iter().enumerate() {
-            assert_eq!(r.index, i as u64, "records arrive in stream order");
-            assert!(r.completed_at >= r.admitted_at);
-            assert_eq!(r.latency(), r.completed_at.saturating_sub(r.admitted_at));
-        }
-        assert_eq!(report.commands, 96);
-    }
-
-    #[test]
-    fn sample_every_zero_disables_snapshots() {
-        let w = workload(64);
-        let mut ssd = platform();
-        let mut log = CompletionLog::new();
-        let mut session = ssd.session(&w);
-        session.attach(&mut log);
-        session.sample_every(16);
-        session.sample_every(0);
-        let _ = session.finish();
-        assert!(log.snapshots().is_empty());
-        assert_eq!(log.records().len(), 64);
-    }
-
-    #[test]
     fn class_histograms_split_reads_writes_and_respect_warmup() {
         use crate::metrics::CommandClass;
         let w = workload(128);
         let mut ssd = platform();
-        let mut log = CompletionLog::new();
         let mut session = ssd.session(&w);
-        session.attach(&mut log);
         session.steady_state(SteadyStateCutoff::Commands(32));
-        assert_eq!(session.tail_latency().count(), 0);
+        let records: Vec<CommandRecord> = std::iter::from_fn(|| session.step()).collect();
         let report = session.finish();
 
         // 128 sequential writes, 32 trimmed as warmup.
@@ -1168,16 +974,16 @@ mod tests {
         assert!(write.p50 <= write.p99 && write.p99 <= write.p999);
         // The whole-run histogram still counts everything, warmup included.
         assert_eq!(report.latency.count(), 128);
+        assert_eq!(records.len(), 128);
 
-        // A CompletionLog digests the same records to the same histograms.
-        let from_log = log.class_histograms(SteadyStateCutoff::Commands(32));
-        assert_eq!(from_log, *report.class_latency);
-        assert_eq!(
-            log.class_histograms(SteadyStateCutoff::None)
-                .class(CommandClass::Write)
-                .count(),
-            128
-        );
+        // The step records digest to the same histograms post-hoc.
+        let mut rebuilt = ClassHistograms::new();
+        for r in &records {
+            if SteadyStateCutoff::Commands(32).admits(r.index, r.completed_at) {
+                rebuilt.record(r.command.op, r.latency());
+            }
+        }
+        assert_eq!(rebuilt, *report.class_latency);
     }
 
     #[test]

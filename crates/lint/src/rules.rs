@@ -223,6 +223,7 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/dram/src/bank.rs",
     "crates/ftl/src/mapping.rs",
     "crates/core/src/session.rs",
+    "crates/core/src/ssd.rs",
     "crates/channel/src/controller.rs",
     "crates/nand/src/die.rs",
     "crates/nand/src/onfi.rs",

@@ -364,8 +364,8 @@ pub(crate) fn contain_panic<R>(f: impl FnOnce() -> R) -> Result<R, Failure> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdx_core::{CommandRecord, Probe};
-    use ssdx_hostif::AccessPattern;
+    use ssdx_hostif::{source_fn, AccessPattern, HostCommand, HostOp};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn small_config_text() -> String {
         SsdConfig::builder("host-test")
@@ -547,31 +547,38 @@ mod tests {
         assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
     }
 
-    /// A probe that panics when the given command completes: a live
-    /// session failing mid-`advance`, the hostile case `WorkloadSpec`
-    /// validation cannot reach.
-    struct PanickingProbe {
-        at_index: u64,
-    }
-    impl Probe for PanickingProbe {
-        fn on_command(&mut self, record: &CommandRecord) {
-            if record.index == self.at_index {
-                panic!("injected session failure");
-            }
-        }
-    }
-
     #[test]
     fn a_panicking_session_is_discarded_not_fatal() {
+        // A source that panics on command 6 once armed: a live session
+        // failing mid-`advance`, the hostile case `WorkloadSpec` validation
+        // cannot reach. Opening a session reads the whole source for its
+        // bounds, so the panic is armed only after the session is built.
+        let armed = Arc::new(AtomicBool::new(false));
+        let trigger = Arc::clone(&armed);
+        let source = source_fn("panicking", 64, move |i| {
+            if i == 6 && trigger.load(Ordering::Relaxed) {
+                panic!("injected session failure");
+            }
+            HostCommand {
+                id: i,
+                op: HostOp::Write,
+                offset: i * 4096,
+                bytes: 4096,
+                issue_at: SimTime::ZERO,
+            }
+        });
+        let config = SsdConfig::from_text(&small_config_text()).unwrap();
+        let session = Ssd::try_new(config).unwrap().into_session(Arc::new(source));
+        armed.store(true, Ordering::Relaxed);
+
         let host = SessionHost::new(8);
-        let (id, _) = host.create(&small_config_text(), &small_spec()).unwrap();
+        let id = host
+            .insert(Box::new(SessionEntry {
+                session,
+                subscriber: None,
+            }))
+            .unwrap();
         host.advance(id, AdvanceMode::Steps(4)).unwrap();
-        // Hosted sessions live for 'static, so the probe is leaked.
-        let mut entry = host.checkout(id).unwrap();
-        entry
-            .session
-            .attach(Box::leak(Box::new(PanickingProbe { at_index: 6 })));
-        host.checkin(id, entry);
         let err = host.advance(id, AdvanceMode::Steps(8)).unwrap_err();
         assert_eq!(err.code, ErrorCode::SessionFailed);
         assert!(err.message.contains("injected session failure"));

@@ -6,7 +6,7 @@
 //! target with zero control-message loss.
 
 use proptest::prelude::*;
-use ssdx_core::PerfReport;
+use ssdx_core::{CommandRecord, PerfReport, SessionSnapshot};
 use ssdx_hostif::AccessPattern;
 use ssdx_server::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
 use ssdx_server::{
@@ -270,6 +270,25 @@ fn captured_snapshots_parse_as_snapshot_images() {
     server.wait().expect("clean exit");
 }
 
+/// What an in-process step loop over the same config and spec returns for
+/// its first `commands` commands, sampling a snapshot every `every`
+/// completions: the loop a subscribed server session runs.
+fn in_process_telemetry(commands: u64, every: u64) -> (Vec<CommandRecord>, Vec<SessionSnapshot>) {
+    let config = ssdx_core::SsdConfig::from_text(&test_config_text()).expect("round-trip config");
+    let source = test_spec().build().expect("valid test spec");
+    let mut ssd = ssdx_core::Ssd::try_new(config).expect("valid test device");
+    let mut session = ssd.session(source.as_ref());
+    let (mut records, mut samples) = (Vec::new(), Vec::new());
+    for _ in 0..commands {
+        let Some(record) = session.step() else { break };
+        records.push(record);
+        if session.completed() % every == 0 {
+            samples.push(session.snapshot());
+        }
+    }
+    (records, samples)
+}
+
 #[test]
 fn subscribed_telemetry_streams_completions_and_utilization() {
     let server = ephemeral_server();
@@ -282,7 +301,7 @@ fn subscribed_telemetry_streams_completions_and_utilization() {
     assert_eq!(progress.executed, 32);
     // Collect everything already in flight, then poll for the rest.
     let mut completions = Vec::new();
-    let mut utilization = 0usize;
+    let mut utilization = Vec::new();
     for t in client.take_telemetry() {
         client_push(t, session, &mut completions, &mut utilization);
     }
@@ -291,20 +310,25 @@ fn subscribed_telemetry_streams_completions_and_utilization() {
         .expect("poll telemetry")
     {
         client_push(t, session, &mut completions, &mut utilization);
-        if completions.len() >= 32 && utilization >= 4 {
+        if completions.len() >= 32 && utilization.len() >= 4 {
             break;
         }
     }
     assert_eq!(completions.len(), 32, "one completion event per command");
     assert_eq!(
-        completions,
+        completions.iter().map(|r| r.index).collect::<Vec<u64>>(),
         (0..32).collect::<Vec<u64>>(),
         "completion indices arrive in order"
     );
     assert_eq!(
-        utilization, 4,
+        utilization.len(),
+        4,
         "a utilization sample every 8 completions over 32 commands"
     );
+    // Every record and sample equals what the in-process loop returns.
+    let (records, samples) = in_process_telemetry(32, 8);
+    assert_eq!(completions, records, "completion records match in-process");
+    assert_eq!(utilization, samples, "utilization samples match in-process");
     client.unsubscribe(session).expect("unsubscribe");
     client.step(session, 8).expect("step");
     assert!(
@@ -315,15 +339,23 @@ fn subscribed_telemetry_streams_completions_and_utilization() {
     server.wait().expect("clean exit");
 }
 
-fn client_push(t: Telemetry, session: u32, completions: &mut Vec<u64>, utilization: &mut usize) {
+fn client_push(
+    t: Telemetry,
+    session: u32,
+    completions: &mut Vec<CommandRecord>,
+    utilization: &mut Vec<SessionSnapshot>,
+) {
     match t {
         Telemetry::Completion { session: s, record } => {
             assert_eq!(s, session);
-            completions.push(record.index);
+            completions.push(record);
         }
-        Telemetry::Utilization { session: s, .. } => {
+        Telemetry::Utilization {
+            session: s,
+            snapshot,
+        } => {
             assert_eq!(s, session);
-            *utilization += 1;
+            utilization.push(snapshot);
         }
         Telemetry::Dropped { .. } => {}
     }

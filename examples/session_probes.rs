@@ -1,10 +1,11 @@
 //! Session probes: observe an SSD simulation *while it runs* instead of
 //! only reading the final report.
 //!
-//! A `SimSession` is stepped command by command; an attached `Probe`
-//! receives every completion record plus periodic utilization snapshots, so
-//! latency, queue depth and per-component busy fractions can be sampled
-//! mid-run — the fine-grained visibility the paper's platform is built for.
+//! A `SimSession` is stepped command by command: each step returns the
+//! command's completion record, and every 512 commands the loop takes a
+//! utilization snapshot, so latency, queue depth and per-component busy
+//! fractions can be sampled mid-run — the fine-grained visibility the
+//! paper's platform is built for.
 //! The command stream itself comes from a closure-backed `CommandSource`,
 //! showing that arbitrary generators plug into the same entry point as the
 //! built-in workloads.
@@ -14,26 +15,27 @@
 // Examples are the user-facing surface: printing results is their job.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use ssdexplorer::core::{Probe, SessionSnapshot, Ssd, SsdConfig};
+use ssdexplorer::core::{CommandRecord, SessionSnapshot, SimSession, Ssd, SsdConfig};
 use ssdexplorer::hostif::{source_fn, HostCommand, HostOp};
 use ssdexplorer::sim::SimTime;
 use ssdx_bench::shorten_cache_fill;
 
-/// A probe that keeps the periodic snapshots for a latency/utilization
-/// timeline and tracks the worst single-command latency it saw.
+/// Periodic snapshots for a latency/utilization timeline, plus the worst
+/// single-command latency seen.
 #[derive(Default)]
 struct Timeline {
     samples: Vec<SessionSnapshot>,
     worst_latency: SimTime,
 }
 
-impl Probe for Timeline {
-    fn on_command(&mut self, record: &ssdexplorer::core::CommandRecord) {
+impl Timeline {
+    /// Takes in the record `session` just returned, sampling a snapshot
+    /// every 512 completed commands.
+    fn observe(&mut self, session: &SimSession<'_>, record: &CommandRecord) {
         self.worst_latency = self.worst_latency.max(record.latency());
-    }
-
-    fn on_snapshot(&mut self, snapshot: &SessionSnapshot) {
-        self.samples.push(*snapshot);
+        if session.completed() % 512 == 0 {
+            self.samples.push(session.snapshot());
+        }
     }
 }
 
@@ -58,15 +60,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut timeline = Timeline::default();
     let mut session = ssd.session(&source);
-    session.attach(&mut timeline);
-    session.sample_every(512);
 
-    // Drive the first simulated 5 ms step by step, then let it finish.
-    let executed = session.run_until(SimTime::from_us(5_000));
+    // Drive the first simulated 5 ms step by step, then the rest.
+    while session.now() < SimTime::from_us(5_000) {
+        let Some(record) = session.step() else { break };
+        timeline.observe(&session, &record);
+    }
     println!(
-        "after 5 simulated ms: {executed} commands done, {} still queued\n",
+        "after 5 simulated ms: {} commands done, {} still queued\n",
+        session.completed(),
         session.remaining()
     );
+    while let Some(record) = session.step() {
+        timeline.observe(&session, &record);
+    }
     let report = session.finish();
 
     println!(

@@ -5,15 +5,17 @@
 //! slowest percentile of commands sees once queues build. This example
 //! runs the four generative workloads (zipfian-skewed, bursty on/off,
 //! mixed block sizes, read-modify-write) through the tail-latency study,
-//! then drills into one session by hand to show the same histograms
-//! mid-run and through a `CompletionLog`.
+//! then drills into one session by hand to show the same histograms in its
+//! report and rebuilt from the records its step loop returns.
 //!
 //! Run with `cargo run --release --example tail_latency`.
 
 // Examples are the user-facing surface: printing results is their job.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use ssdexplorer::core::{metrics, CommandClass, CompletionLog, Ssd, SsdConfig, SteadyStateCutoff};
+use ssdexplorer::core::{
+    metrics, ClassHistograms, CommandClass, CommandRecord, Ssd, SsdConfig, SteadyStateCutoff,
+};
 use ssdexplorer::hostif::ZipfianWorkload;
 use ssdx_bench::shorten_cache_fill;
 
@@ -33,18 +35,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("tail latency across the generative workload suite:\n");
     print!("{}", study.to_table());
 
-    // The same numbers by hand, for one zipfian-skewed session: attach a
-    // log, trim the warmup, and read the histograms both from the session
-    // and from the log.
+    // The same numbers by hand, for one zipfian-skewed session: trim the
+    // warmup, keep every record the step loop returns, and read the
+    // histograms both from the report and from the records.
     let zipf = ZipfianWorkload::new(0.99, config.seed)
         .command_count(2_048)
         .footprint_bytes(256 << 20)
         .read_fraction(0.7);
+    let warmup = SteadyStateCutoff::Commands(256);
     let mut ssd = Ssd::try_new(config)?;
-    let mut log = CompletionLog::with_capacity(2_048, 0);
     let mut session = ssd.session(&zipf);
-    session.attach(&mut log);
-    session.steady_state(SteadyStateCutoff::Commands(256));
+    session.steady_state(warmup);
+    let records: Vec<CommandRecord> = std::iter::from_fn(|| session.step()).collect();
     let report = session.finish();
 
     println!("\nzipfian session, read class:");
@@ -55,11 +57,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  p99 / p99.9          : {} / {}", read.p99, read.p999);
     println!("  worst                : {}", read.max);
 
-    // A CompletionLog digests to the same histograms post-hoc — handy when
-    // the warmup cutoff is only decided after the run.
-    let from_log = log.class_histograms(SteadyStateCutoff::Commands(256));
-    assert_eq!(from_log, *report.class_latency);
-    let p99_all = from_log.total().quantile(0.99);
+    // The records digest to the same histograms post-hoc — handy when the
+    // warmup cutoff is only decided after the run.
+    let mut from_records = ClassHistograms::new();
+    for r in &records {
+        if warmup.admits(r.index, r.completed_at) {
+            from_records.record(r.command.op, r.latency());
+        }
+    }
+    assert_eq!(from_records, *report.class_latency);
+    let p99_all = from_records.total().quantile(0.99);
     println!("\np99 across all classes       : {p99_all}");
     println!(
         "tail amplification (p99/p50) : {:.1}x",

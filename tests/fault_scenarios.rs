@@ -21,8 +21,7 @@
 
 use proptest::prelude::*;
 use ssdx_core::{
-    CommandRecord, CompletionLog, FaultConfig, FtlMode, SimSession, Ssd, SsdConfig,
-    SteadyStateCutoff,
+    CommandRecord, FaultConfig, FtlMode, SimSession, Ssd, SsdConfig, SteadyStateCutoff,
 };
 use ssdx_hostif::{AccessPattern, Workload};
 
@@ -48,6 +47,13 @@ fn workload(pattern: AccessPattern, commands: u64, seed: u64) -> Workload {
         .build()
 }
 
+/// Steps `session` to the end of its stream, appending every completion
+/// record to `records`, and returns the report rendering.
+fn drain(mut session: SimSession<'_>, records: &mut Vec<CommandRecord>) -> String {
+    records.extend(std::iter::from_fn(|| session.step()));
+    format!("{:?}", session.finish())
+}
+
 /// Runs the full stream in one session on a platform aged to `endurance`,
 /// returning the report rendering and every completion record.
 fn continuous(
@@ -55,15 +61,14 @@ fn continuous(
     w: &Workload,
     endurance: f64,
     cutoff: SteadyStateCutoff,
-) -> (String, CompletionLog) {
-    let mut log = CompletionLog::new();
+) -> (String, Vec<CommandRecord>) {
     let mut ssd = Ssd::try_new(cfg.clone()).unwrap();
     ssd.age_to_normalized(endurance);
     let mut session = ssd.session(w);
     session.steady_state(cutoff);
-    session.attach(&mut log);
-    let report = session.finish();
-    (format!("{report:?}"), log)
+    let mut records = Vec::new();
+    let report = drain(session, &mut records);
+    (report, records)
 }
 
 /// Runs `split` commands on an aged platform, captures, then forks a fresh
@@ -77,31 +82,18 @@ fn split_run(
     cutoff: SteadyStateCutoff,
     split: u64,
 ) -> (String, Vec<CommandRecord>) {
-    let mut head = CompletionLog::new();
     let mut ssd = Ssd::try_new(cfg.clone()).unwrap();
     ssd.age_to_normalized(endurance);
-    let image = {
-        let mut session = ssd.session(w);
-        session.steady_state(cutoff);
-        session.attach(&mut head);
-        for _ in 0..split {
-            if session.step().is_none() {
-                break;
-            }
-        }
-        session.capture()
-    };
+    let mut session = ssd.session(w);
+    session.steady_state(cutoff);
+    let mut records: Vec<CommandRecord> = (0..split).map_while(|_| session.step()).collect();
+    let image = session.capture();
 
-    let mut tail = CompletionLog::new();
     let mut forked = Ssd::try_new(cfg.clone()).unwrap();
-    let mut session = SimSession::fork(&mut forked, w, &image)
+    let session = SimSession::fork(&mut forked, w, &image)
         .expect("a freshly captured faulty image forks onto an identical platform");
-    session.attach(&mut tail);
-    let report = session.finish();
-
-    let mut records = head.records().to_vec();
-    records.extend_from_slice(tail.records());
-    (format!("{report:?}"), records)
+    let report = drain(session, &mut records);
+    (report, records)
 }
 
 /// Runs `split` commands on an aged platform owned by its session, copies
@@ -119,14 +111,11 @@ fn duplicate_run(
     let mut session = ssd.into_session(std::sync::Arc::new(*w));
     session.steady_state(cutoff);
     let mut records: Vec<CommandRecord> = (0..split).map_while(|_| session.step()).collect();
-    let mut copy = session.duplicate();
+    let copy = session.duplicate();
     let _ = session.finish();
 
-    let mut tail = CompletionLog::new();
-    copy.attach(&mut tail);
-    let report = copy.finish();
-    records.extend_from_slice(tail.records());
-    (format!("{report:?}"), records)
+    let report = drain(copy, &mut records);
+    (report, records)
 }
 
 proptest! {
@@ -171,24 +160,24 @@ proptest! {
         // split ranges over 0..=commands+epsilon: 10/10 maps past the end.
         let split = commands * split_num / 9;
 
-        let (first_report, first_log) = continuous(&cfg, &w, endurance, cutoff);
-        let (second_report, second_log) = continuous(&cfg, &w, endurance, cutoff);
+        let (first_report, first_records) = continuous(&cfg, &w, endurance, cutoff);
+        let (second_report, second_records) = continuous(&cfg, &w, endurance, cutoff);
         prop_assert_eq!(&second_report, &first_report, "repeated runs diverged");
-        prop_assert_eq!(second_log.records(), first_log.records());
+        prop_assert_eq!(&second_records, &first_records);
 
         let (fork_report, fork_records) = split_run(&cfg, &w, endurance, cutoff, split);
         prop_assert_eq!(
             &fork_report, &first_report,
             "fork diverged at split {} with power loss at {}", split, power_loss_at
         );
-        prop_assert_eq!(fork_records.as_slice(), first_log.records());
+        prop_assert_eq!(&fork_records, &first_records);
 
         let (dup_report, dup_records) = duplicate_run(&cfg, &w, endurance, cutoff, split);
         prop_assert_eq!(
             &dup_report, &first_report,
             "duplicate diverged at split {} with power loss at {}", split, power_loss_at
         );
-        prop_assert_eq!(dup_records.as_slice(), first_log.records());
+        prop_assert_eq!(&dup_records, &first_records);
     }
 }
 
@@ -205,20 +194,20 @@ fn forking_around_the_power_loss_trigger_is_equivalent() {
     let cfg = config(2, 2, 77, faults);
     let w = workload(AccessPattern::RandomWrite, 48, 77);
     let cutoff = SteadyStateCutoff::Commands(8);
-    let (cold_report, cold_log) = continuous(&cfg, &w, 0.0, cutoff);
+    let (cold_report, cold_records) = continuous(&cfg, &w, 0.0, cutoff);
     for split in [15, 16, 17] {
         let (report, records) = split_run(&cfg, &w, 0.0, cutoff, split);
         assert_eq!(
             report, cold_report,
             "power-loss replay diverged when forked at command {split}"
         );
-        assert_eq!(records.as_slice(), cold_log.records());
+        assert_eq!(records, cold_records);
         let (report, records) = duplicate_run(&cfg, &w, 0.0, cutoff, split);
         assert_eq!(
             report, cold_report,
             "power-loss replay diverged when duplicated at command {split}"
         );
-        assert_eq!(records.as_slice(), cold_log.records());
+        assert_eq!(records, cold_records);
     }
 }
 

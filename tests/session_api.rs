@@ -1,10 +1,11 @@
 //! Integration tests for the session-based execution API: `CommandSource`
-//! genericity, `SimSession` step/finish equivalence and probe ordering.
+//! genericity, `SimSession` step/finish equivalence and the order of the
+//! records and samples a step loop reads.
 
 use proptest::prelude::*;
 use ssdexplorer::core::{
-    Axis, CommandRecord, CompletionLog, Explorer, FtlMode, ParallelExecutor, PerfReport, Probe,
-    SessionSnapshot, SimSession, Ssd, SsdConfig, SteadyStateCutoff,
+    Axis, Explorer, FtlMode, ParallelExecutor, PerfReport, SimSession, Ssd, SsdConfig,
+    SteadyStateCutoff,
 };
 use ssdexplorer::hostif::{
     source_fn, AccessPattern, CommandSource, CommandStream, HostCommand, HostOp, StreamBounds,
@@ -28,73 +29,36 @@ fn fingerprint(report: &PerfReport) -> String {
 }
 
 #[test]
-fn session_probe_callbacks_arrive_in_order() {
-    /// A probe that asserts the documented ordering contract while the run
-    /// is still in flight.
-    #[derive(Default)]
-    struct OrderingProbe {
-        next_index: u64,
-        snapshots_seen: usize,
-        finished: bool,
-    }
-    impl Probe for OrderingProbe {
-        fn on_command(&mut self, record: &CommandRecord) {
-            assert!(!self.finished, "no command may follow on_finish");
-            assert_eq!(
-                record.index, self.next_index,
-                "records arrive in stream order"
-            );
-            assert!(record.completed_at >= record.admitted_at);
-            self.next_index += 1;
-        }
-        fn on_snapshot(&mut self, snapshot: &SessionSnapshot) {
-            assert!(!self.finished, "no snapshot may follow on_finish");
-            assert_eq!(
-                snapshot.commands_completed, self.next_index,
-                "snapshots reflect the commands already delivered"
-            );
-            self.snapshots_seen += 1;
-        }
-        fn on_finish(&mut self, report: &PerfReport) {
-            assert_eq!(
-                report.commands, self.next_index,
-                "finish fires after every command"
-            );
-            self.finished = true;
-        }
-    }
-
+fn step_records_and_snapshots_arrive_in_order() {
     let w = Workload::builder(AccessPattern::SequentialWrite)
         .command_count(160)
         .build();
     let mut ssd = Ssd::new(small_config("ordering"));
-    let mut probe = OrderingProbe::default();
     let mut session = ssd.session(&w);
-    session.attach(&mut probe);
-    session.sample_every(50);
+    let mut next_index = 0;
+    let mut snapshots_seen = 0;
+    while let Some(record) = session.step() {
+        assert_eq!(record.index, next_index, "records arrive in stream order");
+        assert!(record.completed_at >= record.admitted_at);
+        next_index += 1;
+        if session.completed() % 50 == 0 {
+            let snapshot = session.snapshot();
+            assert_eq!(
+                snapshot.commands_completed, next_index,
+                "snapshots reflect the commands already returned"
+            );
+            snapshots_seen += 1;
+        }
+    }
+    assert!(
+        session.step().is_none(),
+        "an exhausted session stays exhausted"
+    );
     let report = session.finish();
 
-    assert!(probe.finished);
-    assert_eq!(probe.next_index, 160);
-    assert_eq!(probe.snapshots_seen, 3);
-    assert_eq!(report.commands, 160);
-}
-
-#[test]
-fn multiple_probes_all_observe_the_run() {
-    let w = Workload::builder(AccessPattern::SequentialWrite)
-        .command_count(64)
-        .build();
-    let mut ssd = Ssd::new(small_config("multi-probe"));
-    let mut a = CompletionLog::new();
-    let mut b = CompletionLog::new();
-    let mut session = ssd.session(&w);
-    session.attach(&mut a);
-    session.attach(&mut b);
-    let _ = session.finish();
-    assert_eq!(a.records().len(), 64);
-    assert_eq!(b.records().len(), 64);
-    assert!(a.is_finished() && b.is_finished());
+    assert_eq!(next_index, 160);
+    assert_eq!(snapshots_seen, 3);
+    assert_eq!(report.commands, 160, "finish reports every stepped command");
 }
 
 #[test]

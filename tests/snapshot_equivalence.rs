@@ -9,8 +9,8 @@
 //!   modes, workloads and split points, splitting a session at command *k*
 //!   via [`SimSession::capture`]/[`SimSession::fork`] — or copying an
 //!   owned session in memory with [`SimSession::duplicate`] — reproduces
-//!   the continuous run's `PerfReport` `Debug` rendering and its complete
-//!   [`CompletionLog`] record stream exactly.
+//!   the continuous run's `PerfReport` `Debug` rendering and the complete
+//!   stream of [`CommandRecord`]s its step loop returns, exactly.
 //! * **Codec robustness** (property): an image round-trips
 //!   state-identically (capture → fork → capture yields the same bytes),
 //!   and truncated, bit-flipped or arbitrary byte strings decode to `Err`
@@ -31,8 +31,8 @@
 
 use proptest::prelude::*;
 use ssdx_core::{
-    Axis, CommandRecord, CompletionLog, Explorer, FtlMode, ParallelExecutor, SimSession, Snapshot,
-    Ssd, SsdConfig, SteadyStateCutoff, SNAPSHOT_VERSION, STATE_INVENTORY,
+    Axis, CommandRecord, Explorer, FtlMode, ParallelExecutor, SimSession, Snapshot, Ssd, SsdConfig,
+    SteadyStateCutoff, SNAPSHOT_VERSION, STATE_INVENTORY,
 };
 use ssdx_hostif::{AccessPattern, Workload};
 use ssdx_sim::codec::DecodeError;
@@ -56,16 +56,26 @@ fn workload(pattern: AccessPattern, commands: u64, seed: u64) -> Workload {
         .build()
 }
 
+/// Steps `session` to the end of its stream, appending every completion
+/// record to `records`, and returns the report rendering.
+fn drain(mut session: SimSession<'_>, records: &mut Vec<CommandRecord>) -> String {
+    records.extend(std::iter::from_fn(|| session.step()));
+    format!("{:?}", session.finish())
+}
+
 /// Runs the full stream in one session, returning the report rendering and
 /// every completion record.
-fn continuous(cfg: &SsdConfig, w: &Workload, cutoff: SteadyStateCutoff) -> (String, CompletionLog) {
-    let mut log = CompletionLog::new();
+fn continuous(
+    cfg: &SsdConfig,
+    w: &Workload,
+    cutoff: SteadyStateCutoff,
+) -> (String, Vec<CommandRecord>) {
     let mut ssd = Ssd::try_new(cfg.clone()).unwrap();
     let mut session = ssd.session(w);
     session.steady_state(cutoff);
-    session.attach(&mut log);
-    let report = session.finish();
-    (format!("{report:?}"), log)
+    let mut records = Vec::new();
+    let report = drain(session, &mut records);
+    (report, records)
 }
 
 /// Runs `split` commands, captures, then forks a fresh platform from the
@@ -77,30 +87,17 @@ fn split_run(
     cutoff: SteadyStateCutoff,
     split: u64,
 ) -> (String, Vec<CommandRecord>, Snapshot) {
-    let mut head = CompletionLog::new();
     let mut ssd = Ssd::try_new(cfg.clone()).unwrap();
-    let image = {
-        let mut session = ssd.session(w);
-        session.steady_state(cutoff);
-        session.attach(&mut head);
-        for _ in 0..split {
-            if session.step().is_none() {
-                break;
-            }
-        }
-        session.capture()
-    };
+    let mut session = ssd.session(w);
+    session.steady_state(cutoff);
+    let mut records: Vec<CommandRecord> = (0..split).map_while(|_| session.step()).collect();
+    let image = session.capture();
 
-    let mut tail = CompletionLog::new();
     let mut forked = Ssd::try_new(cfg.clone()).unwrap();
-    let mut session = SimSession::fork(&mut forked, w, &image)
+    let session = SimSession::fork(&mut forked, w, &image)
         .expect("a freshly captured image forks onto an identical platform");
-    session.attach(&mut tail);
-    let report = session.finish();
-
-    let mut records = head.records().to_vec();
-    records.extend_from_slice(tail.records());
-    (format!("{report:?}"), records, image)
+    let report = drain(session, &mut records);
+    (report, records, image)
 }
 
 /// Runs `split` commands on a session that owns its platform, copies it in
@@ -118,14 +115,11 @@ fn duplicate_run(
         .into_session(std::sync::Arc::new(*w));
     session.steady_state(cutoff);
     let mut records: Vec<CommandRecord> = (0..split).map_while(|_| session.step()).collect();
-    let mut copy = session.duplicate();
+    let copy = session.duplicate();
     let _ = session.finish();
 
-    let mut tail = CompletionLog::new();
-    copy.attach(&mut tail);
-    let report = copy.finish();
-    records.extend_from_slice(tail.records());
-    (format!("{report:?}"), records)
+    let report = drain(copy, &mut records);
+    (report, records)
 }
 
 proptest! {
@@ -156,14 +150,14 @@ proptest! {
         // split ranges over 0..=commands+epsilon: 10/10 maps past the end.
         let split = commands * split_num / 9;
 
-        let (cold_report, cold_log) = continuous(&cfg, &w, cutoff);
+        let (cold_report, cold_records) = continuous(&cfg, &w, cutoff);
         let (fork_report, fork_records, _) = split_run(&cfg, &w, cutoff, split);
         let (dup_report, dup_records) = duplicate_run(&cfg, &w, cutoff, split);
 
         prop_assert_eq!(&fork_report, &cold_report, "PerfReport diverged at split {}", split);
-        prop_assert_eq!(fork_records.as_slice(), cold_log.records(), "completion records diverged");
+        prop_assert_eq!(&fork_records, &cold_records, "completion records diverged");
         prop_assert_eq!(&dup_report, &cold_report, "duplicate diverged at split {}", split);
-        prop_assert_eq!(dup_records.as_slice(), cold_log.records(), "duplicate records diverged");
+        prop_assert_eq!(&dup_records, &cold_records, "duplicate records diverged");
     }
 
     /// Capture → fork → capture is a fixed point: the re-captured image is

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use ssdexplorer::core::{
-    metrics, ClassHistograms, CommandClass, CompletionLog, LatencyHistogram, Ssd, SsdConfig,
+    metrics, ClassHistograms, CommandClass, CommandRecord, LatencyHistogram, Ssd, SsdConfig,
     SteadyStateCutoff,
 };
 use ssdexplorer::hostif::{CommandSource, HostOp, RmwWorkload, ZipfianWorkload};
@@ -114,6 +114,18 @@ proptest! {
     }
 }
 
+/// Per-class histograms rebuilt post-hoc from a session's step records,
+/// admitting only the records past `warmup`.
+fn class_histograms(records: &[CommandRecord], warmup: SteadyStateCutoff) -> ClassHistograms {
+    let mut classes = ClassHistograms::new();
+    for r in records {
+        if warmup.admits(r.index, r.completed_at) {
+            classes.record(r.command.op, r.latency());
+        }
+    }
+    classes
+}
+
 fn cutoff_strategy() -> impl Strategy<Value = SteadyStateCutoff> {
     prop_oneof![
         Just(SteadyStateCutoff::None),
@@ -146,20 +158,20 @@ proptest! {
             .build()
             .unwrap();
         let mut ssd = Ssd::try_new(config).unwrap();
-        let mut log = CompletionLog::new();
         let mut session = ssd.session(&zipf);
         session.steady_state(cutoff);
-        session.attach(&mut log);
+        let records: Vec<CommandRecord> = std::iter::from_fn(|| session.step()).collect();
         let report = session.finish();
 
+        prop_assert_eq!(records.len() as u64, commands);
         prop_assert_eq!(report.latency.count(), commands);
         prop_assert!(report.class_latency.count() <= commands);
         let mut rebuilt = LatencyHistogram::new();
-        for record in log.records() {
+        for record in &records {
             rebuilt.record(record.latency());
         }
         prop_assert_eq!(*report.latency, rebuilt);
-        prop_assert_eq!(*report.class_latency, log.class_histograms(cutoff));
+        prop_assert_eq!(*report.class_latency, class_histograms(&records, cutoff));
     }
 }
 
@@ -257,14 +269,12 @@ fn session_tails_agree_with_an_exact_reference() {
             .unwrap(),
     )
     .unwrap();
-    let mut log = ssdexplorer::core::CompletionLog::new();
     let mut session = ssd.session(&zipf);
-    session.attach(&mut log);
+    let records: Vec<CommandRecord> = std::iter::from_fn(|| session.step()).collect();
     let report = session.finish();
 
     for class in [CommandClass::Read, CommandClass::Write] {
-        let mut exact: Vec<u64> = log
-            .records()
+        let mut exact: Vec<u64> = records
             .iter()
             .filter(|r| CommandClass::from(r.command.op) == class)
             .map(|r| r.latency().as_ns())
