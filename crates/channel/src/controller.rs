@@ -102,13 +102,13 @@ impl ChannelController {
             })
             .collect();
         let way_buses = (0..config.ways)
-            .map(|w| Resource::new(format!("chan{id}-way{w}-data")))
+            .map(|_| Resource::new("chan-way-data"))
             .collect();
         ChannelController {
             id,
-            channel_bus: Resource::new(format!("chan{id}-onfi")),
+            channel_bus: Resource::new("chan-onfi"),
             way_buses,
-            ppdma: Resource::new(format!("chan{id}-ppdma")),
+            ppdma: Resource::new("chan-ppdma"),
             dies,
             stats: ChannelStats::default(),
             command_time: config.onfi.command_time(),

@@ -292,16 +292,18 @@ impl SweepJob {
 
     /// The shared warm-start image attached by [`Explorer::warmed_jobs`],
     /// if any. Jobs of the same warm-start group hold clones of one `Arc`,
-    /// which is how the warm-start suite proves warmup ran once per group.
+    /// which is how the warm-start suite proves warmup ran once per group;
+    /// a job whose configuration no other job shares holds none.
     pub fn warm_image(&self) -> Option<&Arc<Snapshot>> {
         self.warm_image.as_ref()
     }
 
     /// Builds the platform, applies the preparation hooks and runs the
     /// source to completion. When a warm-start image is attached
-    /// ([`Explorer::warmed_jobs`]), the session is forked from it instead
-    /// of replaying the warmup — byte-identical by the fork-equivalence
-    /// contract on [`SimSession::fork`].
+    /// ([`Explorer::warmed_jobs`] attaches one only to groups of two or
+    /// more jobs), the session is forked from it instead of replaying the
+    /// warmup — byte-identical by the fork-equivalence contract on
+    /// [`SimSession::fork`]; without one the whole stream runs cold.
     ///
     /// # Errors
     ///
@@ -533,10 +535,12 @@ impl Explorer {
     /// warmup drops from per-point to per-group.
     ///
     /// Points with distinct configurations (the usual case for a swept
-    /// axis) each form their own group, so warm-start never mixes state
-    /// across configurations; it pays off only when a sweep revisits one
-    /// configuration many times (replica axes). [`SteadyStateCutoff::None`]
-    /// (the default) disables warm-start entirely.
+    /// axis) each form a group of one, which gets no image and runs cold,
+    /// so warm-start never mixes state across configurations and costs a
+    /// sweep of distinct points nothing; it pays off only when a sweep
+    /// revisits one configuration many times (replica axes).
+    /// [`SteadyStateCutoff::None`] (the default) disables warm-start
+    /// entirely.
     pub fn warm_start(mut self, cutoff: SteadyStateCutoff) -> Self {
         self.warm_start = cutoff;
         self
@@ -623,13 +627,16 @@ impl Explorer {
 
     /// Expands the sweep like [`jobs`](Self::jobs), then — if
     /// [`warm_start`](Self::warm_start) is set — simulates the warmup
-    /// prefix once per group of identical points (same configuration,
-    /// same preparation hooks in the same order) against `source`,
-    /// captures the steady-state image, and attaches it to every job in
-    /// the group. [`SweepJob::execute`] then forks each run from the image
-    /// instead of replaying the warmup.
+    /// prefix once per group of two or more identical points (same
+    /// configuration, same preparation hooks in the same order) against
+    /// `source`, captures the steady-state image, and attaches it to every
+    /// job in the group. [`SweepJob::execute`] then forks each run from the
+    /// image instead of replaying the warmup.
     ///
-    /// With warm-start disabled this is exactly [`jobs`](Self::jobs); both
+    /// A group of one job gets no image: that job runs the whole stream
+    /// cold on the executor, so a sweep of distinct points pays no serial
+    /// warmup, capture or fork here. With warm-start disabled, or when
+    /// every point is distinct, this is exactly [`jobs`](Self::jobs); both
     /// [`run`](Self::run) and the
     /// [`ParallelExecutor`](crate::ParallelExecutor) expand through here.
     ///
@@ -659,7 +666,10 @@ impl Explorer {
                 None => groups.push(vec![index]),
             }
         }
-        for group in groups {
+        // A group of one has nothing to share its warmup with: the job runs
+        // the whole stream cold on the executor, which is byte-identical by
+        // fork ≡ continuous and skips a serial warmup, a capture and a fork.
+        for group in groups.into_iter().filter(|group| group.len() > 1) {
             let rep = &jobs[group[0]];
             let mut ssd =
                 Ssd::try_new(rep.config.clone()).map_err(|error| SweepError::InvalidPoint {

@@ -357,7 +357,9 @@ retire_limit=2                 write         1     1000.0     1000.0     1000.0 
         // Warm start under the campaign's stateful faults: the endurance
         // axis ages each platform in a prepare hook, and the power-loss
         // triggers fall inside the 32-command warmup (16) and after the
-        // capture (96), where only the forked run can fire them.
+        // capture (96), where only the forked run can fire them. Warm start
+        // images only groups of identical points, so a two-replica axis
+        // gives every scenario a group that forks.
         let mut cfg = campaign_base();
         cfg.ftl_mode = FtlMode::PageMapped;
         let warmup = SteadyStateCutoff::Commands(32);
@@ -365,14 +367,21 @@ retire_limit=2                 write         1     1000.0     1000.0     1000.0 
         let explorer = Explorer::new(cfg)
             .steady_state(warmup)
             .over(endurance_axis(&[0.0, 0.8]))
-            .over(power_loss_axis(&[u64::MAX, 16, 96]));
+            .over(power_loss_axis(&[u64::MAX, 16, 96]))
+            .over(Axis::new("replica").point("a", |_| {}).point("b", |_| {}));
         let cold = explorer.run(&churn).unwrap();
-        let warm = explorer.warm_start(warmup).run_parallel(&churn).unwrap();
+        let warm_explorer = explorer.warm_start(warmup);
+        let jobs = warm_explorer.warmed_jobs(&churn).unwrap();
+        assert!(
+            jobs.iter().all(|job| job.warm_image().is_some()),
+            "every replica pair forks from a warmup image"
+        );
+        let warm = warm_explorer.run_parallel(&churn).unwrap();
         assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
 
         let report = |i: usize| format!("{:?}", warm.points[i].report);
-        assert_eq!(warm.points[2].value("power_loss"), Some("96"));
-        assert_ne!(report(0), report(2), "the post-capture trigger must fire");
+        assert_eq!(warm.points[4].value("power_loss"), Some("96"));
+        assert_ne!(report(0), report(4), "the post-capture trigger must fire");
     }
 
     #[test]

@@ -95,6 +95,13 @@ impl PageAllocator {
     /// Deterministic location of logical page `lpn`: the same channel-first
     /// striping used by writes, so sequential reads fan out across channels
     /// exactly like sequential writes did.
+    ///
+    /// The page-mapped mode places its FTL pages through here too: page `p`
+    /// of FTL block `b` is `locate(b * pages_per_block + p)`. So each FTL
+    /// block is a *superblock* spanning the whole array, whose consecutive
+    /// pages stripe across channels, ways and dies (channel first) like the
+    /// WAF-mode write allocator's, and the page-mapped mode enjoys the same
+    /// internal parallelism a real controller would extract.
     pub fn locate(&self, lpn: u64) -> PageTarget {
         let die_index = lpn % self.total_dies() as u64;
         let (channel, way, die) = self.die_coordinates(die_index);

@@ -3,9 +3,10 @@
 //! [`ParallelExecutor`] is the engine the [`Explorer`] documentation has
 //! always promised: it fans the [`SweepJob`] batch of a sweep out over a
 //! scoped worker pool ([`std::thread::scope`]) with a configurable thread
-//! count, a self-scheduling job queue (workers atomically claim the next
-//! unclaimed job, so long and short points balance automatically), and
-//! ordered result collection. Because every job owns its fully mutated
+//! count, in which the calling thread is one of the workers, a
+//! self-scheduling job queue (workers atomically claim the next unclaimed
+//! job, so long and short points balance automatically), and ordered
+//! result collection. Because every job owns its fully mutated
 //! [`SsdConfig`](crate::SsdConfig) — including the deterministic RNG seed —
 //! and builds its own platform on the worker thread, a parallel sweep is
 //! **byte-identical** to the sequential one at any thread count, which the
@@ -60,7 +61,8 @@ use std::thread;
 /// A scoped worker pool that executes [`SweepJob`] batches in parallel.
 ///
 /// The executor is a small value type — construct one per sweep or reuse it;
-/// it holds no threads between runs. Worker threads live only inside
+/// it holds no threads between runs. The calling thread works as one of the
+/// workers, and the others live only inside
 /// [`run`](Self::run)/[`execute_jobs`](Self::execute_jobs) (scoped threads),
 /// so borrowed sources and jobs need no `'static` lifetimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +118,9 @@ impl ParallelExecutor {
     /// [`SweepError::InvalidPoint`] of the earliest failing job (matching
     /// the error sequential execution reports). Warm-start images
     /// ([`Explorer::warm_start`]) are captured sequentially during
-    /// expansion, before the fan-out.
+    /// expansion, before the fan-out, and only for groups of two or more
+    /// identical points: a sweep of distinct points does all of its
+    /// simulation on the workers.
     pub fn run<S>(&self, explorer: &Explorer, source: &S) -> Result<Sweep, SweepError>
     where
         S: CommandSource + ?Sized,
@@ -136,7 +140,9 @@ impl ParallelExecutor {
     /// self-scheduling): a worker that lands on a cheap point immediately
     /// claims the next one, so heterogeneous sweeps — where a 32-channel
     /// point simulates far more events than a 2-channel one — stay balanced
-    /// without a work-stealing deque.
+    /// without a work-stealing deque. The calling thread is one of the
+    /// [`workers_for`](Self::workers_for) workers: it spawns one thread
+    /// fewer and runs the same claim loop itself.
     ///
     /// # Errors
     ///
@@ -168,23 +174,27 @@ impl ParallelExecutor {
         let cursor = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
 
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(index) else { break };
-                    let result = job.execute(source);
-                    if result.is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                    }
-                    slots[index]
-                        .set(result)
-                        .expect("each job index is claimed exactly once");
-                });
+        let claim_loop = || loop {
+            if failed.load(Ordering::Relaxed) {
+                break;
             }
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(index) else { break };
+            let result = job.execute(source);
+            if result.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            slots[index]
+                .set(result)
+                .expect("each job index is claimed exactly once");
+        };
+        // The calling thread is one of the workers: it spawns the others,
+        // then claims jobs alongside them.
+        thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(claim_loop);
+            }
+            claim_loop();
         });
 
         // The cursor hands indices out in order and every claimed job runs
@@ -289,6 +299,52 @@ mod tests {
                 error: ConfigError::ZeroDimension("channels"),
             }
         );
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        use std::sync::{Arc, Barrier, Mutex};
+        let ran_on: Arc<Mutex<Vec<thread::ThreadId>>> = Arc::default();
+        // The first two jobs meet at a barrier, so two threads must run jobs
+        // at once; with two workers, one of them is the caller.
+        let meet = Arc::new(Barrier::new(2));
+        let mut axis = Axis::new("job");
+        for i in 0..4 {
+            let (ran_on, meet) = (Arc::clone(&ran_on), Arc::clone(&meet));
+            axis = axis.point_with_setup(
+                format!("j{i}"),
+                |_| {},
+                move |_| {
+                    let mut ids = ran_on.lock().expect("no hook panics holding the lock");
+                    ids.push(thread::current().id());
+                    let first_two = ids.len() <= 2;
+                    drop(ids);
+                    if first_two {
+                        meet.wait();
+                    }
+                },
+            );
+        }
+        let base = SsdConfig::builder("caller")
+            .topology(2, 2, 1)
+            .dram_buffers(2)
+            .build()
+            .unwrap();
+        let jobs = Explorer::new(base).over(axis).jobs().unwrap();
+        let points = ParallelExecutor::with_threads(2)
+            .execute_jobs(&jobs, &workload(16))
+            .unwrap();
+        assert_eq!(points.len(), 4);
+        let ids = ran_on.lock().unwrap().clone();
+        assert_eq!(ids.len(), 4, "every job ran its hook once");
+        assert!(
+            ids.contains(&thread::current().id()),
+            "the calling thread ran no job"
+        );
+        let threads = (0..ids.len())
+            .filter(|&i| !ids[..i].contains(&ids[i]))
+            .count();
+        assert!(threads <= 2, "{threads} threads ran jobs");
     }
 
     #[test]

@@ -641,6 +641,7 @@ impl<'a> SimSession<'a> {
     fn execute(&mut self, cmd: &HostCommand) -> (SimTime, SimTime) {
         let page_bytes = self.ssd.config().nand.geometry.page_size_bytes;
         let raw_page_bytes = self.ssd.config().nand.geometry.raw_page_bytes();
+        let pages_per_block = u64::from(self.ssd.config().nand.geometry.pages_per_block);
 
         // --- Admission: protocol queue window ----------------------------
         let mut admit = cmd.issue_at;
@@ -727,8 +728,13 @@ impl<'a> SimSession<'a> {
                                 after.erases - before.erases,
                             )
                         };
+                        // FTL blocks are superblocks striped over the whole
+                        // array (see `PageAllocator::locate`).
                         let target = match location {
-                            Some((blk, page)) => self.ssd.target_for_block(blk, page),
+                            Some((blk, page)) => self
+                                .ssd
+                                .allocator
+                                .locate(u64::from(blk) * pages_per_block + u64::from(page)),
                             None => self.ssd.allocator.next_write(),
                         };
                         let done = self.ssd.program_page_at(comp_done, buf, cmd.offset, target);
@@ -802,7 +808,10 @@ impl<'a> SimSession<'a> {
                 for p in 0..pages {
                     let lpn = first_lpn + p as u64;
                     let target = match self.ftl.as_ref().and_then(|f| f.lookup(lpn)) {
-                        Some((blk, page)) => self.ssd.target_for_block(blk, page),
+                        Some((blk, page)) => self
+                            .ssd
+                            .allocator
+                            .locate(u64::from(blk) * pages_per_block + u64::from(page)),
                         None => self.ssd.allocator.locate(lpn),
                     };
                     let (channel, way, die, addr) =

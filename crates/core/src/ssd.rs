@@ -122,10 +122,10 @@ impl Ssd {
             })
             .collect();
         let ecc_encoders = (0..config.channels)
-            .map(|c| Resource::new(format!("ecc-enc-{c}")))
+            .map(|_| Resource::new("ecc-enc"))
             .collect();
         let ecc_decoders = (0..config.channels)
-            .map(|c| Resource::new(format!("ecc-dec-{c}")))
+            .map(|_| Resource::new("ecc-dec"))
             .collect();
         let allocator = PageAllocator::new(&config);
         let cpus = (0..config.cpu_cores)
@@ -344,41 +344,6 @@ impl Ssd {
     /// `self.session(source).finish()`.
     pub fn simulate<S: CommandSource + ?Sized>(&mut self, source: &S) -> PerfReport {
         self.session(source).finish()
-    }
-
-    /// Maps one page of a linear FTL block onto a concrete
-    /// channel/way/die/page target. The FTL's blocks are interpreted as
-    /// *superblocks* spanning the whole array: consecutive pages of one FTL
-    /// block stripe across channels, ways and dies (channel first), exactly
-    /// like the WAF-mode write allocator, so the page-mapped mode enjoys the
-    /// same internal parallelism a real controller would extract.
-    pub(crate) fn target_for_block(&self, block_index: u32, page: u32) -> PageTarget {
-        let total_dies = self.config.total_dies() as u64;
-        let geometry = &self.config.nand.geometry;
-        let global_page = block_index as u64 * geometry.pages_per_block as u64 + page as u64;
-        let die_index = (global_page % total_dies) as u32;
-        let channel = die_index % self.config.channels;
-        let way = (die_index / self.config.channels) % self.config.ways;
-        let die =
-            (die_index / (self.config.channels * self.config.ways)) % self.config.dies_per_way;
-        // Position of this page within its die, advancing page-first inside
-        // blocks, alternating planes between blocks.
-        let cursor = (global_page / total_dies) % geometry.pages_per_die();
-        let page_in_block = (cursor % geometry.pages_per_block as u64) as u32;
-        let block_linear = cursor / geometry.pages_per_block as u64;
-        let plane = (block_linear % geometry.planes_per_die as u64) as u32;
-        let block = ((block_linear / geometry.planes_per_die as u64)
-            % geometry.blocks_per_plane as u64) as u32;
-        PageTarget {
-            channel,
-            way,
-            die,
-            addr: ssdx_nand::PageAddr {
-                plane,
-                block,
-                page: page_in_block,
-            },
-        }
     }
 
     /// Issues one physical page program (ECC encode, DRAM flush, channel

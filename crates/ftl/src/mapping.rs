@@ -14,17 +14,23 @@
 //! so its state is kept in dense arrays rather than hash maps:
 //!
 //! * **L2P**: `l2p[lpn]` holds the packed physical page number
-//!   (`block * pages_per_block + page`) of a logical page, or a sentinel for
-//!   unmapped — one bounds-checked index instead of a hash probe per lookup.
+//!   (`block * pages_per_block + page`) of a logical page plus one, and 0
+//!   for unmapped — one bounds-checked index instead of a hash probe per
+//!   lookup.
 //! * **Reverse map**: `page_lpn[ppn]` holds the logical page stored in a
-//!   physical page (or free/invalid sentinels), flattening the former
-//!   per-block `Vec<PageState>` into one contiguous allocation shared by all
-//!   blocks. Garbage collection walks a victim block as one cache-friendly
-//!   slice.
+//!   physical page plus two, 0 for a free page and 1 for an invalid one,
+//!   flattening the former per-block `Vec<PageState>` into one contiguous
+//!   allocation shared by all blocks. Garbage collection walks a victim
+//!   block as one cache-friendly slice.
 //! * Both per-page maps hold `u32` entries — half the memory of `u64`, the
 //!   bulk of a page-mapped session's state. [`PageMappedFtl::new`] rejects
-//!   a geometry with more physical pages than fit below the `u32`
-//!   sentinels.
+//!   a geometry whose shifted page numbers would not fit a `u32`.
+//! * **Zero means empty.** A fresh FTL's maps are all zeros, so `new`
+//!   allocates them zeroed and the operating system backs their pages only
+//!   when traffic first touches them: a session's resident memory follows
+//!   the pages it writes, not its footprint. The encoding is also the
+//!   snapshot's, so [`encode_state`](PageMappedFtl::encode_state) and
+//!   [`decode_state`](PageMappedFtl::decode_state) copy the entries.
 //! * **Per-block metadata** (`write_ptr`, `valid`, `erase_count`) lives in
 //!   parallel `Vec`s indexed by block, and a **free-block bitset**
 //!   (`free_mask`) answers pool-membership queries in O(1) so the victim
@@ -93,18 +99,26 @@ impl FtlStats {
     }
 }
 
-/// `page_lpn` sentinel: the physical page has never been programmed since
-/// the last erase.
-const PAGE_FREE: u32 = u32::MAX;
-/// `page_lpn` sentinel: the physical page held data that has since been
+/// `page_lpn` entry: the physical page has never been programmed since
+/// the last erase. A live page holds its logical page plus two.
+const PAGE_FREE: u32 = 0;
+/// `page_lpn` entry: the physical page held data that has since been
 /// overwritten or trimmed.
-const PAGE_INVALID: u32 = u32::MAX - 1;
-/// `l2p` sentinel: the logical page is unmapped.
-const UNMAPPED: u32 = u32::MAX;
-/// Most physical pages one FTL can manage: every packed page number, and
-/// every logical page (there are fewer of those), must stay below the
-/// `u32` sentinels.
-const MAX_PHYSICAL_PAGES: u64 = PAGE_INVALID as u64;
+const PAGE_INVALID: u32 = 1;
+/// `l2p` entry: the logical page is unmapped. A mapped page holds its
+/// packed physical page number plus one.
+const UNMAPPED: u32 = 0;
+/// Most physical pages one FTL can manage: every packed page number plus
+/// one, and every logical page plus two (there are no more logical pages
+/// than physical ones), must fit a `u32` entry.
+const MAX_PHYSICAL_PAGES: u64 = u32::MAX as u64 - 1;
+
+/// The logical page a `page_lpn` entry holds, or `None` for a free or an
+/// invalid page.
+#[inline]
+fn live_lpn(entry: u32) -> Option<u32> {
+    entry.checked_sub(2)
+}
 
 /// A dense bitset over block indices, used to answer "is this block in the
 /// free pool?" in O(1) during victim scans.
@@ -157,9 +171,11 @@ impl BlockBitset {
 pub struct PageMappedFtl {
     pages_per_block: u32,
     blocks: u32,
-    /// Packed physical page number per logical page, or [`UNMAPPED`].
+    /// Packed physical page number plus one per logical page, or
+    /// [`UNMAPPED`].
     l2p: Vec<u32>,
-    /// Logical page stored in each physical page, or a sentinel.
+    /// Logical page plus two stored in each physical page, or
+    /// [`PAGE_FREE`]/[`PAGE_INVALID`].
     page_lpn: Vec<u32>,
     /// Next free page index within each block (log-structured append point).
     write_ptr: Vec<u32>,
@@ -196,8 +212,10 @@ impl PageMappedFtl {
     ///
     /// Panics if `blocks < 8`, `pages_per_block == 0`,
     /// `over_provisioning <= 0`, or `blocks * pages_per_block` exceeds
-    /// `u32::MAX - 1` (the page maps hold `u32` entries below two
-    /// sentinels). Every check runs before anything is allocated.
+    /// `u32::MAX - 1` (the page maps hold shifted page numbers in `u32`
+    /// entries). Every check runs before anything is allocated, and the
+    /// page maps are allocated zeroed, so their memory is backed only as
+    /// traffic touches it.
     pub fn new(blocks: u32, pages_per_block: u32, over_provisioning: f64) -> Self {
         assert!(blocks >= 8, "need at least 8 physical blocks");
         assert!(pages_per_block > 0, "pages per block must be non-zero");
@@ -313,7 +331,7 @@ impl PageMappedFtl {
     #[inline]
     pub fn lookup(&self, lpn: u64) -> Option<(u32, u32)> {
         match self.l2p.get(lpn as usize) {
-            Some(&ppn) if ppn != UNMAPPED => Some(self.unpack(ppn)),
+            Some(&entry) if entry != UNMAPPED => Some(self.unpack(entry - 1)),
             _ => None,
         }
     }
@@ -338,7 +356,7 @@ impl PageMappedFtl {
     }
 
     /// Packs a physical location into a page number; `new`'s geometry
-    /// check keeps it below the sentinels.
+    /// check keeps it and its `l2p` entry within `u32`.
     #[inline]
     fn pack(&self, blk: u32, page: u32) -> u32 {
         blk * self.pages_per_block + page
@@ -361,8 +379,9 @@ impl PageMappedFtl {
 
     #[inline]
     fn invalidate(&mut self, lpn: u32) {
-        let ppn = std::mem::replace(&mut self.l2p[lpn as usize], UNMAPPED);
-        if ppn != UNMAPPED {
+        let entry = std::mem::replace(&mut self.l2p[lpn as usize], UNMAPPED);
+        if entry != UNMAPPED {
+            let ppn = entry - 1;
             let blk = (ppn / self.pages_per_block) as usize;
             self.page_lpn[ppn as usize] = PAGE_INVALID;
             self.valid[blk] -= 1;
@@ -399,10 +418,10 @@ impl PageMappedFtl {
         );
         let page = self.write_ptr[blk as usize];
         let ppn = self.pack(blk, page);
-        self.page_lpn[ppn as usize] = lpn;
+        self.page_lpn[ppn as usize] = lpn + 2;
         self.write_ptr[blk as usize] = page + 1;
         self.valid[blk as usize] += 1;
-        self.l2p[lpn as usize] = ppn;
+        self.l2p[lpn as usize] = ppn + 1;
         self.stats.nand_writes += 1;
         (blk, page)
     }
@@ -502,7 +521,7 @@ impl PageMappedFtl {
             self.page_lpn[base..end]
                 .iter()
                 .copied()
-                .filter(|&lpn| lpn != PAGE_FREE && lpn != PAGE_INVALID),
+                .filter_map(live_lpn),
         );
         let moved = reloc.len() as u64;
         for &lpn in &reloc {
@@ -575,7 +594,7 @@ impl PageMappedFtl {
             self.page_lpn[base..end]
                 .iter()
                 .copied()
-                .filter(|&lpn| lpn != PAGE_FREE && lpn != PAGE_INVALID)
+                .filter_map(live_lpn)
                 .take(limit_pages as usize),
         );
         let mut moved = 0u64;
@@ -628,15 +647,15 @@ impl PageMappedFtl {
             let mut wp = 0u32;
             let mut valid = 0u32;
             for page in 0..self.pages_per_block {
-                let lpn = self.page_lpn[base + page as usize];
-                if lpn == PAGE_FREE {
+                let entry = self.page_lpn[base + page as usize];
+                if entry == PAGE_FREE {
                     continue;
                 }
                 wp = page + 1;
-                if lpn != PAGE_INVALID {
+                if let Some(lpn) = live_lpn(entry) {
                     valid += 1;
                     live += 1;
-                    self.l2p[lpn as usize] = self.pack(blk, page);
+                    self.l2p[lpn as usize] = self.pack(blk, page) + 1;
                 }
             }
             self.write_ptr[blk as usize] = wp;
@@ -730,29 +749,17 @@ impl PageMappedFtl {
     }
 
     /// Encodes the FTL's mutable state, in stable field order: the L2P table
-    /// (construction-fixed length; `UNMAPPED` as `0`, a mapped PPN as
-    /// `ppn + 1` — the sentinel would otherwise cost a 10-byte varint per
-    /// unmapped page), the per-physical-page LPN table (`PAGE_FREE` as
-    /// `0`, `PAGE_INVALID` as `1`, a live LPN as `lpn + 2`), per-block
-    /// write pointers, valid counts and erase counts, the host and GC open
-    /// blocks, the free pool in take/return order (its order is the
-    /// wear-leveling tie-breaker, so it is observable state), then the
+    /// (construction-fixed length; each entry as held, so unmapped as `0`
+    /// and a mapped PPN as `ppn + 1`), the per-physical-page LPN table (as
+    /// held: free as `0`, invalid as `1`, a live LPN as `lpn + 2`),
+    /// per-block write pointers, valid counts and erase counts, the host
+    /// and GC open blocks, the free pool in take/return order (its order is
+    /// the wear-leveling tie-breaker, so it is observable state), then the
     /// statistics. The free-pool bitset mirror is rebuilt on decode, and the
     /// relocation scratch buffer is transient, not state.
     pub fn encode_state(&self, enc: &mut Encoder) {
-        for &ppn in &self.l2p {
-            enc.put_u64(if ppn == UNMAPPED {
-                0
-            } else {
-                u64::from(ppn) + 1
-            });
-        }
-        for &lpn in &self.page_lpn {
-            enc.put_u64(match lpn {
-                PAGE_FREE => 0,
-                PAGE_INVALID => 1,
-                live => u64::from(live) + 2,
-            });
+        for &entry in self.l2p.iter().chain(&self.page_lpn) {
+            enc.put_u64(u64::from(entry));
         }
         for &p in &self.write_ptr {
             enc.put_u32(p);
@@ -788,22 +795,21 @@ impl PageMappedFtl {
     /// indices, or duplicated free-pool entries.
     pub fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
         let physical_pages = self.blocks as u64 * self.pages_per_block as u64;
+        // `new` bounds the geometry, so an entry that passes its range
+        // check is at most `MAX_PHYSICAL_PAGES + 1` and fits a `u32`.
         for slot in &mut self.l2p {
             let raw = dec.get_u64()?;
-            *slot = match raw.checked_sub(1) {
-                None => UNMAPPED,
-                Some(ppn) if ppn < physical_pages => ppn as u32,
-                Some(_) => return Err(dec.invalid("L2P entry out of range")),
-            };
+            if raw > physical_pages {
+                return Err(dec.invalid("L2P entry out of range"));
+            }
+            *slot = raw as u32;
         }
         for slot in &mut self.page_lpn {
             let raw = dec.get_u64()?;
-            *slot = match raw {
-                0 => PAGE_FREE,
-                1 => PAGE_INVALID,
-                shifted if shifted - 2 < self.logical_pages => (shifted - 2) as u32,
-                _ => return Err(dec.invalid("physical-page LPN out of range")),
-            };
+            if raw >= self.logical_pages + 2 {
+                return Err(dec.invalid("physical-page LPN out of range"));
+            }
+            *slot = raw as u32;
         }
         for slot in &mut self.write_ptr {
             let p = dec.get_u32()?;

@@ -91,7 +91,7 @@ impl NandDie {
         let rng_seed = seed ^ (id as u64).wrapping_mul(0x9E37_79B9);
         NandDie {
             id,
-            array: Resource::new(format!("nand-die-{id}")),
+            array: Resource::new("nand-die"),
             wear: FastHashMap::default(),
             baseline_pe: 0,
             stats: DieStats::default(),

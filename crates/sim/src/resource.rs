@@ -46,16 +46,19 @@ impl Grant {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Resource {
-    name: String,
+    name: &'static str,
     free_at: SimTime,
     busy: SimTime,
 }
 
 impl Resource {
-    /// Creates an idle resource with a diagnostic name.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Creates an idle resource with a diagnostic name. The name is a
+    /// static string, so building and copying a platform's thousands of
+    /// resources allocates nothing for them; a unit's index lives with its
+    /// owner (a die or a channel keeps its own `id`).
+    pub fn new(name: &'static str) -> Self {
         Resource {
-            name: name.into(),
+            name,
             free_at: SimTime::ZERO,
             busy: SimTime::ZERO,
         }
@@ -63,7 +66,7 @@ impl Resource {
 
     /// Diagnostic name given at construction.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     /// The earliest instant at which the resource is idle.

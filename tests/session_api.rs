@@ -165,8 +165,10 @@ fn no_platform_path_lists_the_whole_stream() {
     assert_eq!(fingerprint(&owned.finish()), fingerprint(&expected));
     assert_eq!(fingerprint(&copy.finish()), fingerprint(&expected));
 
+    // Two replicas per seed, so every point forks from a warmup image.
     let explorer = Explorer::new(cfg)
         .over(Axis::over("seed", [1u64, 2, 3], |cfg, &s| cfg.seed = s))
+        .over(Axis::new("replica").point("a", |_| {}).point("b", |_| {}))
         .warm_start(SteadyStateCutoff::Commands(200));
     let sweep = |s: &dyn CommandSource| {
         let sequential = explorer.run(s).expect("sweep");

@@ -21,10 +21,11 @@
 //!   retired `tests/golden/snapshot_v1.bin` must be refused as an
 //!   unsupported version, never misparsed.
 //! * **Warm-start ≡ cold** : an [`Explorer`] sweep with
-//!   [`warm_start`](Explorer::warm_start) forks every point of a group
-//!   from one shared warmup image and still produces byte-identical
-//!   sweeps — sequentially and through the [`ParallelExecutor`] at 1, 2,
-//!   4 and 8 threads — while provably running the warmup once per group.
+//!   [`warm_start`](Explorer::warm_start) forks every point of a group of
+//!   identical points from one shared warmup image, runs a point no other
+//!   point repeats cold, and still produces byte-identical sweeps —
+//!   sequentially and through the [`ParallelExecutor`] at 1, 2, 4 and 8
+//!   threads — while provably running the warmup once per group.
 //! * **Inventory blindness guard**: every crate in the ssdx-lint layering
 //!   table appears in [`STATE_INVENTORY`], so a new crate with mutable
 //!   state cannot be silently forgotten by the snapshot.
@@ -36,6 +37,7 @@ use ssdx_core::{
 };
 use ssdx_hostif::{AccessPattern, Workload};
 use ssdx_sim::codec::DecodeError;
+use std::sync::Arc;
 
 fn config(channels: u32, ways: u32, seed: u64, ftl: FtlMode) -> SsdConfig {
     SsdConfig::builder("snap")
@@ -344,8 +346,10 @@ fn warm_start_sweeps_are_byte_identical_at_every_thread_count() {
 }
 
 /// Warmup runs once per group: every replica's job holds the *same* `Arc`
-/// to the warmup image, while a point with a different configuration gets
-/// its own.
+/// to the warmup image, a job whose configuration no other job shares
+/// carries none and runs cold, and a sweep crossing a replica axis with a
+/// configuration axis warms each replica pair once and still equals the
+/// cold sweep at every thread count.
 #[test]
 fn warm_start_shares_one_image_per_configuration_group() {
     const COMMANDS: u64 = 64;
@@ -356,22 +360,53 @@ fn warm_start_shares_one_image_per_configuration_group() {
     for job in &jobs[1..] {
         let image = job.warm_image().expect("every replica is warmed");
         assert!(
-            std::sync::Arc::ptr_eq(first, image),
+            Arc::ptr_eq(first, image),
             "replicas of one configuration must share one warmup image"
         );
     }
 
-    // A second axis that *does* mutate the configuration splits the groups.
+    // An axis that *does* mutate the configuration makes groups of one,
+    // which have nothing to share a warmup with.
     let cfg = config(2, 2, 23, FtlMode::WafAbstraction);
-    let explorer = Explorer::new(cfg)
-        .over(Axis::over("seed", [1u64, 2], |c, &s| c.seed = s))
+    let seeds = Axis::over("seed", [1u64, 2], |c, &s| c.seed = s);
+    let explorer = Explorer::new(cfg.clone())
+        .over(seeds.clone())
         .warm_start(SteadyStateCutoff::Commands(8));
     let jobs = explorer.warmed_jobs(&w).unwrap();
     assert_eq!(jobs.len(), 2);
     assert!(
-        !std::sync::Arc::ptr_eq(jobs[0].warm_image().unwrap(), jobs[1].warm_image().unwrap()),
+        jobs.iter().all(|job| job.warm_image().is_none()),
+        "distinct configurations must run cold, without an image"
+    );
+
+    // Crossed with two replicas, each seed's pair shares one image.
+    let replicas = Axis::new("replica").point("r0", |_| {}).point("r1", |_| {});
+    let crossed = Explorer::new(cfg)
+        .over(seeds)
+        .over(replicas)
+        .steady_state(SteadyStateCutoff::Commands(COMMANDS / 8));
+    let warm = crossed
+        .clone()
+        .warm_start(SteadyStateCutoff::Commands(COMMANDS / 2));
+    let jobs = warm.warmed_jobs(&w).unwrap();
+    let image = |i: usize| jobs[i].warm_image().expect("every replica pair is warmed");
+    assert_eq!(jobs.len(), 4);
+    assert!(Arc::ptr_eq(image(0), image(1)) && Arc::ptr_eq(image(2), image(3)));
+    assert!(
+        !Arc::ptr_eq(image(0), image(2)),
         "different configurations must not share a warmup image"
     );
+    let cold = crossed.run(&w).unwrap();
+    for threads in [1, 2, 4, 8] {
+        let parallel = ParallelExecutor::with_threads(threads)
+            .run(&warm, &w)
+            .unwrap();
+        assert_eq!(
+            format!("{cold:?}"),
+            format!("{parallel:?}"),
+            "warm-start diverged at {threads} threads"
+        );
+    }
 }
 
 /// Wall-clock sanity: with the warmup at 7/8 of the stream and 6 replicas,
