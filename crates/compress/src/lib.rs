@@ -60,30 +60,6 @@ impl CompressorModel {
         }
     }
 
-    /// A model with an explicit ratio (clamped to `(0, 1]`) and bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bandwidth_bytes_per_sec` is zero or the ratio is not finite
-    /// and positive.
-    pub fn with_ratio(
-        placement: CompressorPlacement,
-        compression_ratio: f64,
-        bandwidth_bytes_per_sec: u64,
-    ) -> Self {
-        assert!(
-            compression_ratio.is_finite() && compression_ratio > 0.0,
-            "compression ratio must be positive and finite"
-        );
-        assert!(bandwidth_bytes_per_sec > 0, "bandwidth must be non-zero");
-        CompressorModel {
-            placement,
-            compression_ratio: compression_ratio.min(1.0),
-            bandwidth_bytes_per_sec,
-            fixed_latency_ns: 2_000,
-        }
-    }
-
     /// Size of the compressed output for `input_bytes` of input (never zero
     /// for non-empty input).
     pub fn output_bytes(&self, input_bytes: u32) -> u32 {
@@ -119,14 +95,11 @@ mod tests {
 
     #[test]
     fn output_never_zero_for_nonempty_input() {
-        let c = CompressorModel::with_ratio(CompressorPlacement::ChannelSide, 0.001, 1_000_000);
+        let c = CompressorModel {
+            compression_ratio: 0.001,
+            ..CompressorModel::hardware_gzip(CompressorPlacement::ChannelSide)
+        };
         assert_eq!(c.output_bytes(100), 1);
-    }
-
-    #[test]
-    fn incompressible_ratio_is_clamped_to_one() {
-        let c = CompressorModel::with_ratio(CompressorPlacement::ChannelSide, 3.0, 1_000_000);
-        assert_eq!(c.output_bytes(4096), 4096);
     }
 
     #[test]
@@ -144,17 +117,5 @@ mod tests {
     fn decompress_is_paced_by_uncompressed_side() {
         let c = CompressorModel::hardware_gzip(CompressorPlacement::ChannelSide);
         assert_eq!(c.decompress_time(4096), c.compress_time(4096));
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth must be non-zero")]
-    fn zero_bandwidth_rejected() {
-        let _ = CompressorModel::with_ratio(CompressorPlacement::HostSide, 0.5, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "compression ratio")]
-    fn non_positive_ratio_rejected() {
-        let _ = CompressorModel::with_ratio(CompressorPlacement::HostSide, 0.0, 1_000);
     }
 }

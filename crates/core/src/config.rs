@@ -470,7 +470,10 @@ impl SsdConfig {
     /// Returns a [`ConfigError`] describing the first malformed line, unknown
     /// key or unparsable value.
     pub fn from_text(text: &str) -> Result<SsdConfig, ConfigError> {
-        let mut builder = SsdConfigBuilder::new("from-text");
+        let mut config = SsdConfig {
+            name: "from-text".to_string(),
+            ..SsdConfig::default()
+        };
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -486,19 +489,19 @@ impl SsdConfig {
                 value: value.to_string(),
             };
             match key {
-                "name" => builder.name = value.to_string(),
-                "channels" => builder.channels = value.parse().map_err(|_| bad())?,
-                "ways" => builder.ways = value.parse().map_err(|_| bad())?,
-                "dies_per_way" => builder.dies_per_way = value.parse().map_err(|_| bad())?,
-                "dram_buffers" => builder.dram_buffers = value.parse().map_err(|_| bad())?,
+                "name" => config.name = value.to_string(),
+                "channels" => config.channels = value.parse().map_err(|_| bad())?,
+                "ways" => config.ways = value.parse().map_err(|_| bad())?,
+                "dies_per_way" => config.dies_per_way = value.parse().map_err(|_| bad())?,
+                "dram_buffers" => config.dram_buffers = value.parse().map_err(|_| bad())?,
                 "dram_buffer_capacity" => {
-                    builder.dram_buffer_capacity = value.parse().map_err(|_| bad())?
+                    config.dram_buffer_capacity = value.parse().map_err(|_| bad())?
                 }
                 "queue_depth" => {
-                    builder.queue_depth_override = Some(value.parse().map_err(|_| bad())?)
+                    config.queue_depth_override = Some(value.parse().map_err(|_| bad())?)
                 }
                 "host" => {
-                    builder.host_interface = match value {
+                    config.host_interface = match value {
                         "sata2" => HostInterfaceConfig::Sata2,
                         "sata3" => HostInterfaceConfig::Sata3,
                         other => {
@@ -513,25 +516,31 @@ impl SsdConfig {
                     }
                 }
                 "cache" => {
-                    builder.cache_policy = match value {
+                    config.cache_policy = match value {
                         "on" | "true" | "cache" => CachePolicy::WriteCache,
                         "off" | "false" | "no-cache" => CachePolicy::NoCache,
                         _ => return Err(bad()),
                     }
                 }
                 "ecc" => {
-                    builder.ecc = if value == "none" {
+                    config.ecc = if value == "none" {
                         EccScheme::None
                     } else if let Some(t) = value.strip_prefix("fixed-bch:") {
                         EccScheme::fixed_bch(t.parse().map_err(|_| bad())?)
                     } else if let Some(t) = value.strip_prefix("adaptive-bch:") {
-                        EccScheme::adaptive_bch(t.parse().map_err(|_| bad())?)
+                        // The default wear table corrects at least 4 bits,
+                        // so a smaller worst case cannot hold it.
+                        let max_t: u32 = t.parse().map_err(|_| bad())?;
+                        if max_t < 4 {
+                            return Err(bad());
+                        }
+                        EccScheme::adaptive_bch(max_t)
                     } else {
                         return Err(bad());
                     }
                 }
                 "compressor" => {
-                    builder.compressor = match value {
+                    config.compressor = match value {
                         "none" => CompressorConfig::None,
                         "host" => CompressorConfig::HostSide,
                         "channel" => CompressorConfig::ChannelSide,
@@ -539,15 +548,15 @@ impl SsdConfig {
                     }
                 }
                 "ftl" => {
-                    builder.ftl_mode = match value {
+                    config.ftl_mode = match value {
                         "waf" => FtlMode::WafAbstraction,
                         "page-mapped" | "real" => FtlMode::PageMapped,
                         _ => return Err(bad()),
                     }
                 }
-                "cpu_cores" => builder.cpu_cores = value.parse().map_err(|_| bad())?,
+                "cpu_cores" => config.cpu_cores = value.parse().map_err(|_| bad())?,
                 "gang" => {
-                    builder.gang = match value {
+                    config.gang = match value {
                         "shared-bus" => GangMode::SharedBus,
                         "shared-control" => GangMode::SharedControl,
                         _ => return Err(bad()),
@@ -555,84 +564,48 @@ impl SsdConfig {
                 }
                 "over_provisioning" => {
                     let op: f64 = value.parse().map_err(|_| bad())?;
-                    if op.is_nan() || op <= 0.0 {
+                    if !op.is_finite() || op <= 0.0 {
                         return Err(bad());
                     }
-                    builder.over_provisioning = op;
+                    config.waf = WafModel::new(op);
                 }
-                "seed" => builder.seed = value.parse().map_err(|_| bad())?,
+                "seed" => config.seed = value.parse().map_err(|_| bad())?,
                 "read_disturb" => {
                     let v: f64 = value.parse().map_err(|_| bad())?;
                     if !v.is_finite() || v < 0.0 {
                         return Err(bad());
                     }
-                    builder.faults.read_disturb_per_read = v;
+                    config.faults.read_disturb_per_read = v;
                 }
                 "retention_scale" => {
                     let v: f64 = value.parse().map_err(|_| bad())?;
                     if !v.is_finite() || v <= 0.0 {
                         return Err(bad());
                     }
-                    builder.faults.retention_scale = v;
+                    config.faults.retention_scale = v;
                 }
                 "retire_pe_limit" => {
-                    builder.faults.retire_pe_limit = value.parse().map_err(|_| bad())?
+                    config.faults.retire_pe_limit = value.parse().map_err(|_| bad())?
                 }
                 "power_loss_at" => {
-                    builder.faults.power_loss_at = value.parse().map_err(|_| bad())?
+                    config.faults.power_loss_at = value.parse().map_err(|_| bad())?
                 }
                 other => return Err(ConfigError::UnknownKey(other.to_string())),
             }
         }
-        builder.build()
+        config.validate()?;
+        Ok(config)
     }
 }
 
 impl Default for SsdConfig {
+    /// The paper's default platform, named `default`: a 4-channel, 4-way,
+    /// 2-die SSD with a SATA II host interface, 2 KB-page MLC NAND behind a
+    /// legacy asynchronous ONFI bus, a 40-bit fixed BCH code, the WAF FTL
+    /// abstraction at 7 % over-provisioning and the write cache enabled.
     fn default() -> Self {
-        SsdConfigBuilder::new("default")
-            .build()
-            .expect("default configuration is valid")
-    }
-}
-
-/// Builder for [`SsdConfig`].
-#[derive(Debug, Clone)]
-pub struct SsdConfigBuilder {
-    name: String,
-    channels: u32,
-    ways: u32,
-    dies_per_way: u32,
-    dram_buffers: u32,
-    dram_buffer_capacity: u64,
-    host_interface: HostInterfaceConfig,
-    queue_depth_override: Option<u32>,
-    cache_policy: CachePolicy,
-    ecc: EccScheme,
-    compressor: CompressorConfig,
-    ftl_mode: FtlMode,
-    over_provisioning: f64,
-    cpu_cores: u32,
-    firmware: FirmwareProfile,
-    nand_geometry: NandGeometry,
-    nand_timing: MlcTimingProfile,
-    wear: WearModel,
-    onfi_speed: OnfiSpeed,
-    gang: GangMode,
-    dram_timings: DdrTimings,
-    seed: u64,
-    faults: FaultConfig,
-}
-
-impl SsdConfigBuilder {
-    /// Creates a builder pre-loaded with the paper's default platform: a
-    /// 4-channel, 4-way, 2-die SSD with a SATA II host interface, 2 KB-page
-    /// MLC NAND behind a legacy asynchronous ONFI bus, a 40-bit fixed BCH
-    /// code, the WAF FTL abstraction at 7 % over-provisioning and the write
-    /// cache enabled.
-    pub fn new(name: impl Into<String>) -> Self {
-        SsdConfigBuilder {
-            name: name.into(),
+        SsdConfig {
+            name: "default".to_string(),
             channels: 4,
             ways: 4,
             dies_per_way: 2,
@@ -644,12 +617,14 @@ impl SsdConfigBuilder {
             ecc: EccScheme::fixed_bch(40),
             compressor: CompressorConfig::None,
             ftl_mode: FtlMode::WafAbstraction,
-            over_provisioning: 0.07,
+            waf: WafModel::new(0.07),
             cpu_cores: 1,
             firmware: FirmwareProfile::waf_abstracted(),
-            nand_geometry: NandGeometry::mlc_2kb(),
-            nand_timing: MlcTimingProfile::paper_mlc(),
-            wear: WearModel::paper_mlc(),
+            nand: NandConfig {
+                geometry: NandGeometry::mlc_2kb(),
+                timing: MlcTimingProfile::paper_mlc(),
+                wear: WearModel::paper_mlc(),
+            },
             onfi_speed: OnfiSpeed::Sdr20,
             gang: GangMode::SharedBus,
             dram_timings: DdrTimings::ddr2_800(),
@@ -657,126 +632,150 @@ impl SsdConfigBuilder {
             faults: FaultConfig::healthy(),
         }
     }
+}
+
+/// Builder for [`SsdConfig`]: a configuration under construction, which
+/// each setter edits in place and [`build`](Self::build) validates.
+#[derive(Debug, Clone)]
+pub struct SsdConfigBuilder {
+    config: SsdConfig,
+}
+
+impl SsdConfigBuilder {
+    /// Creates a builder pre-loaded with the paper's default platform
+    /// ([`SsdConfig::default`]) under the given name.
+    pub fn new(name: impl Into<String>) -> Self {
+        SsdConfigBuilder {
+            config: SsdConfig {
+                name: name.into(),
+                ..SsdConfig::default()
+            },
+        }
+    }
 
     /// Sets the channel/way/die topology.
     pub fn topology(mut self, channels: u32, ways: u32, dies_per_way: u32) -> Self {
-        self.channels = channels;
-        self.ways = ways;
-        self.dies_per_way = dies_per_way;
+        self.config.channels = channels;
+        self.config.ways = ways;
+        self.config.dies_per_way = dies_per_way;
         self
     }
 
     /// Sets the number of DRAM buffers.
     pub fn dram_buffers(mut self, buffers: u32) -> Self {
-        self.dram_buffers = buffers;
+        self.config.dram_buffers = buffers;
         self
     }
 
     /// Sets the per-buffer capacity in bytes.
     pub fn dram_buffer_capacity(mut self, bytes: u64) -> Self {
-        self.dram_buffer_capacity = bytes;
+        self.config.dram_buffer_capacity = bytes;
         self
     }
 
     /// Selects the host interface.
     pub fn host_interface(mut self, host: HostInterfaceConfig) -> Self {
-        self.host_interface = host;
+        self.config.host_interface = host;
         self
     }
 
     /// Overrides the host queue depth.
     pub fn queue_depth(mut self, depth: u32) -> Self {
-        self.queue_depth_override = Some(depth);
+        self.config.queue_depth_override = Some(depth);
         self
     }
 
     /// Selects the DRAM-buffer management policy.
     pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
+        self.config.cache_policy = policy;
         self
     }
 
     /// Selects the ECC scheme.
     pub fn ecc(mut self, ecc: EccScheme) -> Self {
-        self.ecc = ecc;
+        self.config.ecc = ecc;
         self
     }
 
     /// Selects the compressor placement.
     pub fn compressor(mut self, compressor: CompressorConfig) -> Self {
-        self.compressor = compressor;
+        self.config.compressor = compressor;
         self
     }
 
     /// Selects the FTL accounting mode.
     pub fn ftl_mode(mut self, mode: FtlMode) -> Self {
-        self.ftl_mode = mode;
+        self.config.ftl_mode = mode;
         self
     }
 
     /// Sets the number of controller CPU cores.
     pub fn cpu_cores(mut self, cores: u32) -> Self {
-        self.cpu_cores = cores;
+        self.config.cpu_cores = cores;
         self
     }
 
     /// Sets the over-provisioning factor of the WAF model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is not positive and finite.
     pub fn over_provisioning(mut self, op: f64) -> Self {
-        self.over_provisioning = op;
+        self.config.waf = WafModel::new(op);
         self
     }
 
     /// Sets the firmware cycle budgets.
     pub fn firmware(mut self, firmware: FirmwareProfile) -> Self {
-        self.firmware = firmware;
+        self.config.firmware = firmware;
         self
     }
 
     /// Sets the NAND geometry.
     pub fn nand_geometry(mut self, geometry: NandGeometry) -> Self {
-        self.nand_geometry = geometry;
+        self.config.nand.geometry = geometry;
         self
     }
 
     /// Sets the NAND timing profile.
     pub fn nand_timing(mut self, timing: MlcTimingProfile) -> Self {
-        self.nand_timing = timing;
+        self.config.nand.timing = timing;
         self
     }
 
     /// Sets the wear/RBER model.
     pub fn wear(mut self, wear: WearModel) -> Self {
-        self.wear = wear;
+        self.config.nand.wear = wear;
         self
     }
 
     /// Sets the ONFI interface speed.
     pub fn onfi_speed(mut self, speed: OnfiSpeed) -> Self {
-        self.onfi_speed = speed;
+        self.config.onfi_speed = speed;
         self
     }
 
     /// Sets the way interconnection scheme.
     pub fn gang(mut self, gang: GangMode) -> Self {
-        self.gang = gang;
+        self.config.gang = gang;
         self
     }
 
     /// Sets the DDR timing set.
     pub fn dram_timings(mut self, timings: DdrTimings) -> Self {
-        self.dram_timings = timings;
+        self.config.dram_timings = timings;
         self
     }
 
     /// Sets the deterministic simulation seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
     /// Installs a degraded-device fault profile.
     pub fn faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = faults;
+        self.config.faults = faults;
         self
     }
 
@@ -784,38 +783,10 @@ impl SsdConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::ZeroDimension`] if a structural parameter is
-    /// zero.
+    /// Returns the first error [`SsdConfig::validate`] reports.
     pub fn build(self) -> Result<SsdConfig, ConfigError> {
-        let config = SsdConfig {
-            name: self.name,
-            channels: self.channels,
-            ways: self.ways,
-            dies_per_way: self.dies_per_way,
-            dram_buffers: self.dram_buffers,
-            dram_buffer_capacity: self.dram_buffer_capacity,
-            host_interface: self.host_interface,
-            queue_depth_override: self.queue_depth_override,
-            cache_policy: self.cache_policy,
-            ecc: self.ecc,
-            compressor: self.compressor,
-            ftl_mode: self.ftl_mode,
-            waf: WafModel::new(self.over_provisioning),
-            cpu_cores: self.cpu_cores,
-            firmware: self.firmware,
-            nand: NandConfig {
-                geometry: self.nand_geometry,
-                timing: self.nand_timing,
-                wear: self.wear,
-            },
-            onfi_speed: self.onfi_speed,
-            gang: self.gang,
-            dram_timings: self.dram_timings,
-            seed: self.seed,
-            faults: self.faults,
-        };
-        config.validate()?;
-        Ok(config)
+        self.config.validate()?;
+        Ok(self.config)
     }
 }
 
@@ -1084,6 +1055,24 @@ mod tests {
             SsdConfig::from_text("over_provisioning = -1\n").unwrap_err(),
             ConfigError::BadValue { .. }
         ));
+        // Values the models they build would panic on are refused before
+        // anything is built: an infinite spare factor, and an adaptive code
+        // too weak for the default wear table's 4-bit floor.
+        for (key, value) in [
+            ("over_provisioning", "inf"),
+            ("over_provisioning", "1e400"),
+            ("ecc", "adaptive-bch:3"),
+            ("ecc", "adaptive-bch:0"),
+        ] {
+            assert_eq!(
+                SsdConfig::from_text(&format!("{key} = {value}\n")),
+                Err(ConfigError::BadValue {
+                    key: key.to_string(),
+                    value: value.to_string(),
+                })
+            );
+        }
+        assert!(SsdConfig::from_text("ecc = adaptive-bch:4\n").is_ok());
     }
 
     #[test]

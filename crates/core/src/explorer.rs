@@ -407,14 +407,6 @@ impl Sweep {
         self.points.is_empty()
     }
 
-    /// Every point whose coordinate on `axis` equals `value`.
-    pub fn select(&self, axis: &str, value: &str) -> Vec<&SweepPoint> {
-        self.points
-            .iter()
-            .filter(|p| p.value(axis) == Some(value))
-            .collect()
-    }
-
     /// The point maximising the given report metric, if any.
     ///
     /// NaN-safe: points whose metric evaluates to NaN are skipped entirely
@@ -1137,7 +1129,6 @@ mod tests {
             vec!["channels".to_string(), "cache".to_string()]
         );
         assert_eq!(sweep.len(), 4);
-        assert_eq!(sweep.select("cache", "no cache").len(), 2);
         assert_eq!(sweep.points[2].value("channels"), Some("4"));
         // More channels must not hurt cached sequential writes.
         let best = sweep.best_by(|r| r.throughput_mbps).unwrap();
@@ -1244,7 +1235,6 @@ mod tests {
         assert!(sweep.is_empty());
         assert_eq!(sweep.len(), 0);
         assert!(sweep.best_by(|r| r.throughput_mbps).is_none());
-        assert!(sweep.select("channels", "4").is_empty());
         // The table still renders: the header row and nothing else.
         let table = sweep.to_table();
         assert_eq!(table.lines().count(), 1);
@@ -1284,7 +1274,7 @@ mod tests {
     }
 
     #[test]
-    fn select_and_value_handle_missing_axis_names() {
+    fn value_handles_missing_axis_names() {
         let sweep = Explorer::new(small_table().remove(0))
             .over_values("channels", [2u32, 4], |cfg, &c| {
                 cfg.channels = c;
@@ -1292,8 +1282,6 @@ mod tests {
             })
             .run(&quick_workload())
             .unwrap();
-        assert!(sweep.select("no-such-axis", "2").is_empty());
-        assert!(sweep.select("channels", "no-such-value").is_empty());
         assert_eq!(sweep.points[0].value("no-such-axis"), None);
         assert_eq!(sweep.points[0].value("channels"), Some("2"));
     }

@@ -420,11 +420,11 @@ impl<'a> SimSession<'a> {
     /// # Errors
     ///
     /// Returns a [`DecodeError`] if the image is malformed or truncated,
-    /// was captured from a different topology or seed, lacks session state
-    /// (restore those with [`Ssd::restore`]), or disagrees with the
-    /// session's derived geometry (cursor past the stream end, FTL
-    /// presence mismatch). On error the platform may hold
-    /// partially-restored state; fork again or discard it.
+    /// was captured from a different topology or seed, carries no session
+    /// state (its session flag is false; [`capture`](Self::capture) always
+    /// sets it), or disagrees with the session's derived geometry (cursor
+    /// past the stream end, FTL presence mismatch). On error the platform
+    /// may hold partially-restored state; fork again or discard it.
     pub fn fork<S: CommandSource + ?Sized>(
         ssd: &'a mut Ssd,
         source: &'a S,
@@ -479,7 +479,7 @@ impl<'a> SimSession<'a> {
         snapshot::decode_header(&mut dec, self.ssd.config())?;
         self.ssd.decode_state(&mut dec)?;
         if !dec.get_bool()? {
-            return Err(dec.invalid("snapshot has no session state; restore it with Ssd::restore"));
+            return Err(dec.invalid("snapshot has no session state"));
         }
         let cursor = dec.get_u64()?;
         if cursor > self.len {

@@ -1,15 +1,16 @@
 //! Versioned binary snapshots of the full device state.
 //!
-//! A [`Snapshot`] is a compact, self-describing byte image of everything
-//! mutable in the platform: every model crate's state (NAND wear and
-//! per-die RNGs, DRAM banks and refresh deadlines, CPU cores, the AHB bus,
-//! channel controllers, ECC pipeline resources, the page allocator and the
-//! optional page-mapped FTL) plus, when captured mid-run via
-//! [`SimSession::capture`](crate::SimSession::capture), the session's
-//! protocol-window and back-pressure state. Restoring a snapshot onto a
-//! platform built from the same configuration resumes the simulation
-//! exactly: a forked run is byte-identical to the continuous run it
-//! branched from, which `tests/snapshot_equivalence.rs` pins.
+//! A [`Snapshot`] is a compact, self-describing byte image of a run in
+//! flight, captured by [`SimSession::capture`](crate::SimSession::capture):
+//! everything mutable in the platform (NAND wear and per-die RNGs, DRAM
+//! banks and refresh deadlines, CPU cores, the AHB bus, channel
+//! controllers, ECC pipeline resources and the page allocator) plus the
+//! session's cursor, protocol-window and back-pressure state, latency
+//! histograms and optional page-mapped FTL.
+//! [`SimSession::fork`](crate::SimSession::fork) opens a session on a
+//! platform built from the same configuration and resumes the run exactly:
+//! a forked run is byte-identical to the continuous run it branched from,
+//! which `tests/snapshot_equivalence.rs` pins.
 //!
 //! # Format
 //!
@@ -21,8 +22,8 @@
 //! | magic | the 4 raw bytes `b"SSDX"` |
 //! | version | one byte, currently [`SNAPSHOT_VERSION`] |
 //! | platform signature | channels, ways, dies/way, DRAM buffers, CPU cores, seed |
-//! | platform state | [`Ssd`] state in the audited `encode_state` order |
-//! | session flag | `bool`: whether session state follows |
+//! | platform state | [`Ssd`](crate::Ssd) state in the audited `encode_state` order |
+//! | session flag | `bool`, always `true`: `fork` refuses an image without session state |
 //! | session state | cursor, queues, steady-state class and warmup histograms, cutoff, optional FTL |
 //!
 //! The platform signature binds an image to the topology and seed it was
@@ -30,8 +31,8 @@
 //! instead of producing garbage. Container sizes inside the platform state
 //! are construction-derived from the configuration and deliberately *not*
 //! length-prefixed, so [`Snapshot::from_bytes`] validates the header while
-//! full decoding happens against a constructed platform
-//! ([`Ssd::restore`] / [`SimSession::fork`](crate::SimSession::fork)).
+//! full decoding happens against a constructed platform, in
+//! [`SimSession::fork`](crate::SimSession::fork).
 //!
 //! # Version policy
 //!
@@ -51,7 +52,6 @@
 //! [`DecodeError`].
 
 use crate::config::SsdConfig;
-use crate::ssd::Ssd;
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 
 /// Magic bytes opening every snapshot image.
@@ -60,15 +60,13 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SSDX";
 /// Current snapshot format version. Bump on any byte-layout change.
 pub const SNAPSHOT_VERSION: u8 = 2;
 
-/// A validated, versioned binary image of device (and optionally session)
-/// state.
+/// A validated, versioned binary image of a platform and the session
+/// running on it.
 ///
-/// Produced by [`Ssd::capture`] (platform only) or
-/// [`SimSession::capture`](crate::SimSession::capture) (platform plus
-/// in-flight session state); consumed by [`Ssd::restore`] and
-/// [`SimSession::fork`](crate::SimSession::fork). The bytes are opaque but
-/// stable: they can be written to disk and restored by a later process
-/// running the same format version.
+/// Produced by [`SimSession::capture`](crate::SimSession::capture) and
+/// consumed by [`SimSession::fork`](crate::SimSession::fork). The bytes are
+/// opaque but stable: they can be written to disk and forked by a later
+/// process running the same format version.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     bytes: Vec<u8>,
@@ -93,7 +91,7 @@ impl Snapshot {
     /// Validates the header of `bytes` (magic and version) and wraps them
     /// as a [`Snapshot`].
     ///
-    /// Full decoding is deferred to [`Ssd::restore`] /
+    /// Full decoding is deferred to
     /// [`SimSession::fork`](crate::SimSession::fork): the state sections
     /// have construction-derived sizes, so they can only be interpreted
     /// against a platform built from the matching configuration.
@@ -165,43 +163,6 @@ pub(crate) fn decode_header(dec: &mut Decoder<'_>, config: &SsdConfig) -> Result
         return Err(dec.invalid("snapshot platform signature mismatch"));
     }
     Ok(())
-}
-
-impl Ssd {
-    /// Captures the platform's full mutable state as a platform-only
-    /// [`Snapshot`] (no session section). Use
-    /// [`SimSession::capture`](crate::SimSession::capture) to snapshot an
-    /// in-flight run instead.
-    pub fn capture(&self) -> Snapshot {
-        let mut enc = Encoder::new();
-        encode_header(&mut enc, self.config());
-        self.encode_state(&mut enc);
-        enc.put_bool(false);
-        Snapshot::from_encoder(enc)
-    }
-
-    /// Restores a platform-only snapshot captured by
-    /// [`capture`](Self::capture) onto this platform.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] if the image is malformed or truncated,
-    /// was captured from a different topology or seed, or carries session
-    /// state (fork those with
-    /// [`SimSession::fork`](crate::SimSession::fork) instead). On error
-    /// the platform may hold partially-restored state; restore again or
-    /// discard it.
-    pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), DecodeError> {
-        let mut dec = Decoder::new(snapshot.to_bytes());
-        decode_header(&mut dec, self.config())?;
-        self.decode_state(&mut dec)?;
-        if dec.get_bool()? {
-            return Err(
-                dec.invalid("snapshot carries session state; fork it with SimSession::fork")
-            );
-        }
-        dec.expect_end()
-    }
 }
 
 /// One row of the snapshot state inventory: a layering-table crate and the
@@ -323,32 +284,62 @@ pub const STATE_INVENTORY: &[StateInventoryEntry] = &[
 mod tests {
     use super::*;
     use crate::config::SsdConfig;
+    use crate::session::SimSession;
+    use crate::ssd::Ssd;
+    use ssdx_hostif::{AccessPattern, Workload};
 
-    fn platform() -> Ssd {
+    fn platform(channels: u32) -> Ssd {
         Ssd::try_new(
             SsdConfig::builder("snapshot-test")
-                .topology(2, 2, 1)
+                .topology(channels, 2, 1)
                 .build()
                 .unwrap(),
         )
         .unwrap()
     }
 
+    fn workload() -> Workload {
+        Workload::builder(AccessPattern::SequentialWrite)
+            .command_count(8)
+            .build()
+    }
+
+    /// A session image of the two-channel platform after two commands.
+    fn image() -> Snapshot {
+        let mut ssd = platform(2);
+        let w = workload();
+        let mut session = ssd.session(&w);
+        session.step();
+        session.step();
+        session.capture()
+    }
+
+    /// The error `fork` returns for `snap` on `ssd`.
+    fn fork_error(ssd: &mut Ssd, snap: &Snapshot) -> DecodeError {
+        match SimSession::fork(ssd, &workload(), snap) {
+            Ok(_) => panic!("the image must not fork"),
+            Err(err) => err,
+        }
+    }
+
     #[test]
     fn capture_restore_round_trips_platform_state() {
-        let mut ssd = platform();
+        let mut ssd = platform(2);
         ssd.age_to_normalized(0.3);
-        let snap = ssd.capture();
+        assert_ne!(ssd.aged_pe, 0);
+        let w = workload();
+        let snap = ssd.session(&w).capture();
         assert_eq!(snap.version(), SNAPSHOT_VERSION);
-        let mut other = platform();
-        other.restore(&snap).unwrap();
+        let mut other = platform(2);
+        let forked = SimSession::fork(&mut other, &w, &snap).unwrap();
+        assert_eq!(forked.capture(), snap);
+        drop(forked);
         assert_eq!(other.aged_pe, ssd.aged_pe);
-        assert_eq!(other.capture(), snap);
     }
 
     #[test]
     fn from_bytes_validates_magic_and_version() {
-        let snap = platform().capture();
+        let snap = image();
         let bytes = snap.to_bytes();
         assert_eq!(Snapshot::from_bytes(bytes).unwrap(), snap);
 
@@ -365,16 +356,31 @@ mod tests {
 
     #[test]
     fn restore_rejects_a_mismatched_platform() {
-        let snap = platform().capture();
-        let mut wider = Ssd::try_new(
-            SsdConfig::builder("snapshot-test")
-                .topology(4, 2, 1)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let err = wider.restore(&snap).unwrap_err();
+        let err = fork_error(&mut platform(4), &image());
         assert!(matches!(err, DecodeError::Invalid { .. }));
+    }
+
+    /// Every image this crate writes carries session state, but the format
+    /// keeps the flag, so an image whose flag is false must still be
+    /// refused rather than forked into a half-restored session.
+    #[test]
+    fn fork_refuses_an_image_without_session_state() {
+        let mut ssd = platform(2);
+        let mut enc = Encoder::new();
+        encode_header(&mut enc, ssd.config());
+        ssd.encode_state(&mut enc);
+        enc.put_bool(false);
+        let err = fork_error(&mut ssd, &Snapshot::from_encoder(enc));
+        assert!(
+            matches!(
+                err,
+                DecodeError::Invalid {
+                    what: "snapshot has no session state",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

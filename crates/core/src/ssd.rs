@@ -311,9 +311,9 @@ impl Ssd {
     }
 
     /// Opens a steppable [`SimSession`] over any [`CommandSource`]
-    /// (synthetic [`Workload`]s, [`TracePlayer`](ssdx_hostif::TracePlayer)
-    /// traces, explicit [`CommandStream`](ssdx_hostif::CommandStream)s,
-    /// closure generators, or user types).
+    /// (synthetic [`Workload`]s, the generative workloads,
+    /// [`TracePlayer`](ssdx_hostif::TracePlayer) traces and explicit command
+    /// lists, closure generators, or user types).
     ///
     /// The session resets the platform's dynamic activity, sizes its
     /// per-run state from [`CommandSource::bounds`] and derives the FTL

@@ -69,19 +69,6 @@ impl FirmwareProfile {
         }
     }
 
-    /// Cycle budgets for a real page-mapped FTL executing on the core:
-    /// mapping-table walks and GC bookkeeping make every task heavier.
-    pub fn real_ftl() -> Self {
-        FirmwareProfile {
-            command_decode_cycles: 600,
-            ftl_lookup_cycles: 1_200,
-            dma_setup_cycles: 400,
-            completion_cycles: 500,
-            gc_cycles: 2_500,
-            bus_accesses_per_task: 24,
-        }
-    }
-
     /// Cycle budget of one task.
     pub fn cycles_for(&self, task: FirmwareTask) -> u64 {
         match task {
@@ -91,14 +78,6 @@ impl FirmwareProfile {
             FirmwareTask::Completion => self.completion_cycles,
             FirmwareTask::GarbageCollection => self.gc_cycles,
         }
-    }
-
-    /// Total foreground cycles charged to one command (excludes GC).
-    pub fn per_command_cycles(&self) -> u64 {
-        FirmwareTask::foreground()
-            .into_iter()
-            .map(|t| self.cycles_for(t))
-            .sum()
     }
 }
 
@@ -113,31 +92,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn per_command_cycles_sums_foreground_tasks() {
-        let p = FirmwareProfile::waf_abstracted();
-        assert_eq!(p.per_command_cycles(), 400 + 250 + 300 + 350);
-    }
-
-    #[test]
-    fn real_ftl_costs_more_than_waf_abstraction() {
-        let waf = FirmwareProfile::waf_abstracted();
-        let real = FirmwareProfile::real_ftl();
-        assert!(real.per_command_cycles() > waf.per_command_cycles());
-        assert!(real.gc_cycles > 0);
-        assert_eq!(waf.gc_cycles, 0);
-    }
-
-    #[test]
     fn cycles_for_covers_all_tasks() {
-        let p = FirmwareProfile::real_ftl();
-        for task in [
-            FirmwareTask::CommandDecode,
-            FirmwareTask::FtlLookup,
-            FirmwareTask::DmaSetup,
-            FirmwareTask::Completion,
-            FirmwareTask::GarbageCollection,
+        let p = FirmwareProfile {
+            command_decode_cycles: 1,
+            ftl_lookup_cycles: 2,
+            dma_setup_cycles: 3,
+            completion_cycles: 4,
+            gc_cycles: 5,
+            bus_accesses_per_task: 0,
+        };
+        for (task, cycles) in [
+            (FirmwareTask::CommandDecode, 1),
+            (FirmwareTask::FtlLookup, 2),
+            (FirmwareTask::DmaSetup, 3),
+            (FirmwareTask::Completion, 4),
+            (FirmwareTask::GarbageCollection, 5),
         ] {
-            assert!(p.cycles_for(task) > 0);
+            assert_eq!(p.cycles_for(task), cycles, "{task:?}");
         }
     }
 

@@ -550,15 +550,6 @@ impl DramBuffer {
         }
     }
 
-    /// Effective bandwidth observed so far over `elapsed` simulated time, in
-    /// bytes per second.
-    pub fn effective_bandwidth(&self, elapsed: SimTime) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        self.stats.bytes as f64 / elapsed.as_secs_f64()
-    }
-
     /// Encodes the buffer's mutable state, in stable field order: each bank
     /// (construction-fixed count, no length prefix), data-bus free instant,
     /// next refresh deadline, then the statistics (accesses, bytes, bus busy
@@ -685,16 +676,9 @@ mod tests {
         b.access(SimTime::ZERO, 0, 4096, AccessKind::Write);
         assert_eq!(b.stats().accesses, 1);
         assert_eq!(b.stats().bytes, 4096);
-        assert!(b.effective_bandwidth(SimTime::from_us(10)) > 0.0);
         b.reset();
         assert_eq!(b.stats().accesses, 0);
         assert_eq!(b.data_bus_free, SimTime::ZERO);
-    }
-
-    #[test]
-    fn effective_bandwidth_zero_horizon() {
-        let b = buf();
-        assert_eq!(b.effective_bandwidth(SimTime::ZERO), 0.0);
     }
 
     /// The per-burst walk that `access` replaced, kept as its reference:

@@ -41,6 +41,10 @@ impl AdaptiveTable {
 
     /// The default table for a 3 000-cycle MLC part with a 40-bit worst-case
     /// code: capability steps up roughly every fifth of the rated life.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_t < 4`, the smallest capability the table assigns.
     pub fn paper_default(max_t: u32, rated_pe: u64) -> Self {
         let steps = [
             (0.20, 0.20),
@@ -74,16 +78,6 @@ impl AdaptiveTable {
     /// Worst-case capability of the table.
     pub fn max_t(&self) -> u32 {
         self.max_t
-    }
-
-    /// Number of entries in the table.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if the table has no entries (never true for a constructed table).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -119,8 +113,6 @@ mod tests {
         assert_eq!(table.t_for(101), 16);
         assert_eq!(table.t_for(200), 16);
         assert_eq!(table.t_for(201), 40);
-        assert_eq!(table.len(), 2);
-        assert!(!table.is_empty());
     }
 
     #[test]

@@ -39,12 +39,6 @@ impl BchCodec {
         }
     }
 
-    /// Parity bytes appended per codeword (≈ `t * m / 8` with m = 15 for
-    /// 2 KB codewords).
-    pub fn parity_bytes(&self) -> u32 {
-        (self.t * 15).div_ceil(8)
-    }
-
     /// Encode latency for one codeword. Encoding is a systematic LFSR pass,
     /// so it barely depends on `t`.
     pub fn encode_latency(&self) -> SimTime {
@@ -66,24 +60,6 @@ impl BchCodec {
     /// Number of codewords needed to protect a page of `page_bytes` bytes.
     pub fn codewords_per_page(&self, page_bytes: u32) -> u32 {
         page_bytes.div_ceil(self.codeword_bytes).max(1)
-    }
-
-    /// Probability that a codeword with expected `raw_errors` raw errors is
-    /// uncorrectable (more than `t` errors), using a Poisson tail
-    /// approximation of the binomial error count.
-    pub fn uncorrectable_probability(&self, raw_errors: f64) -> f64 {
-        if raw_errors <= 0.0 {
-            return 0.0;
-        }
-        // P[X > t] with X ~ Poisson(raw_errors).
-        let lambda = raw_errors;
-        let mut term = (-lambda).exp();
-        let mut cdf = term;
-        for k in 1..=self.t {
-            term *= lambda / k as f64;
-            cdf += term;
-        }
-        (1.0 - cdf).clamp(0.0, 1.0)
     }
 }
 
@@ -122,27 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn parity_overhead_scales_with_t() {
-        assert!(BchCodec::with_t(40).parity_bytes() > BchCodec::with_t(8).parity_bytes());
-        assert_eq!(BchCodec::with_t(40).parity_bytes(), 75);
-    }
-
-    #[test]
     fn codewords_per_page() {
         let c = BchCodec::with_t(40);
         assert_eq!(c.codewords_per_page(4096), 2);
         assert_eq!(c.codewords_per_page(2048), 1);
         assert_eq!(c.codewords_per_page(100), 1);
-    }
-
-    #[test]
-    fn uncorrectable_probability_behaviour() {
-        let c = BchCodec::with_t(40);
-        assert_eq!(c.uncorrectable_probability(0.0), 0.0);
-        let low = c.uncorrectable_probability(5.0);
-        let high = c.uncorrectable_probability(60.0);
-        assert!(low < 1e-6);
-        assert!(high > 0.9);
-        assert!(low <= high);
     }
 }

@@ -263,11 +263,6 @@ impl PageMappedFtl {
     /// disables retirement. Like the geometry, this is a construction
     /// parameter: set it before driving traffic, and build forks with the
     /// same limit.
-    pub fn set_retire_limit(&mut self, limit: u64) {
-        self.retire_limit = limit;
-    }
-
-    /// Builder-style variant of [`set_retire_limit`](Self::set_retire_limit).
     #[must_use]
     pub fn with_retire_limit(mut self, limit: u64) -> Self {
         self.retire_limit = limit;
@@ -377,6 +372,28 @@ impl PageMappedFtl {
         self.write_ptr[blk as usize] - self.valid[blk as usize]
     }
 
+    /// `true` if `blk` may be collected or wear-levelled: full, and neither
+    /// an open block nor in the free pool. Blocks in the free pool are
+    /// never full, so the bitset skip only saves the fullness lookup.
+    #[inline]
+    fn is_collectable(&self, blk: u32) -> bool {
+        blk != self.open_block
+            && blk != self.gc_open_block
+            && !self.free_mask.contains(blk)
+            && self.is_full(blk)
+    }
+
+    /// The greedy victim and its invalid-page count: the collectable block
+    /// with the most invalid pages, the last maximum in block order (ties
+    /// resolve to the highest index, as `max_by_key` over the block
+    /// iterator does). `None` when no block is collectable.
+    fn greedy_victim(&self) -> Option<(u32, u32)> {
+        (0..self.blocks)
+            .filter(|&blk| self.is_collectable(blk))
+            .map(|blk| (blk, self.invalid_count(blk)))
+            .max_by_key(|&(_, invalid)| invalid)
+    }
+
     #[inline]
     fn invalidate(&mut self, lpn: u32) {
         let entry = std::mem::replace(&mut self.l2p[lpn as usize], UNMAPPED);
@@ -448,24 +465,11 @@ impl PageMappedFtl {
         if self.max_erase_count() - self.min_erase_count() < self.wear_level_threshold {
             return Ok(());
         }
-        // First minimum in block order (ties resolve to the lowest index,
-        // as `min_by_key` over the block iterator did).
-        let mut coldest: Option<(u32, u64)> = None;
-        for blk in 0..self.blocks {
-            if blk == self.open_block
-                || blk == self.gc_open_block
-                || self.free_mask.contains(blk)
-                || !self.is_full(blk)
-            {
-                continue;
-            }
-            let count = self.erase_count[blk as usize];
-            match coldest {
-                Some((_, best)) if count >= best => {}
-                _ => coldest = Some((blk, count)),
-            }
-        }
-        if let Some((victim, _)) = coldest {
+        // First minimum in block order (ties resolve to the lowest index).
+        let coldest = (0..self.blocks)
+            .filter(|&blk| self.is_collectable(blk))
+            .min_by_key(|&blk| self.erase_count[blk as usize]);
+        if let Some(victim) = coldest {
             let moved = self.reclaim_block(victim)?;
             self.stats.wear_level_moves += moved;
             self.stats.gc_relocations -= moved;
@@ -477,33 +481,13 @@ impl PageMappedFtl {
     /// with the most invalid pages). Returns `Ok(false)` when no block is
     /// worth collecting (no full block carries an invalid page).
     fn collect_one_victim(&mut self) -> Result<bool, FtlError> {
-        // Blocks in the free pool are never full, so the bitset skip mirrors
-        // the fullness filter; the two open blocks are excluded explicitly.
-        // Last maximum in block order (ties resolve to the highest index, as
-        // `max_by_key` over the block iterator did).
-        let mut victim: Option<(u32, u32)> = None;
-        for blk in 0..self.blocks {
-            if blk == self.open_block
-                || blk == self.gc_open_block
-                || self.free_mask.contains(blk)
-                || !self.is_full(blk)
-            {
-                continue;
+        match self.greedy_victim() {
+            Some((victim, invalid)) if invalid > 0 => {
+                self.reclaim_block(victim)?;
+                Ok(true)
             }
-            let inv = self.invalid_count(blk);
-            match victim {
-                Some((_, best)) if inv < best => {}
-                _ => victim = Some((blk, inv)),
-            }
+            _ => Ok(false),
         }
-        let Some((victim, invalid)) = victim else {
-            return Ok(false);
-        };
-        if invalid == 0 {
-            return Ok(false);
-        }
-        self.reclaim_block(victim)?;
-        Ok(true)
     }
 
     /// Relocates every valid page of `victim` into the GC open block, erases
@@ -566,24 +550,7 @@ impl PageMappedFtl {
     /// victim. Returns the number of pages relocated (0 when no block is
     /// worth collecting or the pool cannot supply a GC block).
     pub fn interrupt_reclaim(&mut self, limit_pages: u32) -> u64 {
-        // Victim selection mirrors collect_one_victim (last maximum of the
-        // invalid count over full, non-open, non-free blocks).
-        let mut victim: Option<(u32, u32)> = None;
-        for blk in 0..self.blocks {
-            if blk == self.open_block
-                || blk == self.gc_open_block
-                || self.free_mask.contains(blk)
-                || !self.is_full(blk)
-            {
-                continue;
-            }
-            let inv = self.invalid_count(blk);
-            match victim {
-                Some((_, best)) if inv < best => {}
-                _ => victim = Some((blk, inv)),
-            }
-        }
-        let Some((victim, _)) = victim else {
+        let Some((victim, _)) = self.greedy_victim() else {
             return 0;
         };
         let base = self.pack(victim, 0) as usize;

@@ -46,34 +46,6 @@ pub struct HostCommand {
     pub issue_at: SimTime,
 }
 
-impl HostCommand {
-    /// Logical page number of the first page touched, for `page_bytes`-sized
-    /// pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_bytes` is zero.
-    pub fn first_page(&self, page_bytes: u32) -> u64 {
-        assert!(page_bytes > 0, "page size must be non-zero");
-        self.offset / page_bytes as u64
-    }
-
-    /// Number of pages spanned by the command, for `page_bytes`-sized pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_bytes` is zero.
-    pub fn page_count(&self, page_bytes: u32) -> u32 {
-        assert!(page_bytes > 0, "page size must be non-zero");
-        if self.bytes == 0 {
-            return 0;
-        }
-        let first = self.offset / page_bytes as u64;
-        let last = (self.offset + self.bytes as u64 - 1) / page_bytes as u64;
-        (last - first + 1) as u32
-    }
-}
-
 impl fmt::Display for HostCommand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -107,34 +79,8 @@ mod tests {
     }
 
     #[test]
-    fn aligned_command_spans_exact_pages() {
-        let c = cmd(8192, 8192);
-        assert_eq!(c.first_page(4096), 2);
-        assert_eq!(c.page_count(4096), 2);
-    }
-
-    #[test]
-    fn unaligned_command_spans_extra_page() {
-        let c = cmd(4095, 4096);
-        assert_eq!(c.first_page(4096), 0);
-        assert_eq!(c.page_count(4096), 2);
-    }
-
-    #[test]
-    fn zero_byte_command_spans_no_pages() {
-        let c = cmd(0, 0);
-        assert_eq!(c.page_count(4096), 0);
-    }
-
-    #[test]
     fn display_is_informative() {
         let c = cmd(0x1000, 4096);
         assert_eq!(c.to_string(), "cmd #1 write 4096 B @ 0x1000");
-    }
-
-    #[test]
-    #[should_panic(expected = "page size")]
-    fn zero_page_size_panics() {
-        let _ = cmd(0, 1).page_count(0);
     }
 }

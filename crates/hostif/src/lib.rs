@@ -41,9 +41,6 @@ pub use generative::{
 pub use interface::HostInterface;
 pub use nvme::{NvmeInterface, PcieGen};
 pub use sata::SataInterface;
-pub use source::{
-    estimate_random_write_fraction, source_fn, AsDynSource, CommandSource, CommandStream, FnSource,
-    StreamBounds,
-};
+pub use source::{source_fn, AsDynSource, CommandSource, FnSource, StreamBounds};
 pub use trace::{ParseTraceError, TracePlayer};
 pub use workload::{AccessPattern, Workload, WorkloadBuilder};

@@ -1,8 +1,8 @@
 //! Pluggable command sources: the single entry point the platform consumes.
 //!
-//! Everything the simulated SSD executes — synthetic workloads, parsed
-//! traces, hand-built command lists, closure generators — implements one
-//! trait, [`CommandSource`]. A source is a random-access stream: it knows
+//! Everything the simulated SSD executes — synthetic workloads, traces
+//! parsed from text or collected from a command list, closure generators —
+//! implements one trait, [`CommandSource`]. A source is a random-access stream: it knows
 //! its length and yields any command by index, as a pure function of its
 //! parameters and that index. The platform never materialises a stream. A
 //! session holds its source and a cursor and asks for one command per
@@ -50,16 +50,13 @@ use std::sync::OnceLock;
 /// is exactly `writes - 1` (the number of transitions). Streams with fewer
 /// than two writes have no transitions and report `0.0`. The result is in
 /// `[0, 1]` and feeds the WAF abstraction's workload mix.
-pub fn estimate_random_write_fraction(commands: &[HostCommand]) -> f64 {
-    estimate(commands.iter().copied())
-}
-
-/// [`estimate_random_write_fraction`] over any command sequence.
-fn estimate(commands: impl Iterator<Item = HostCommand>) -> f64 {
+pub(crate) fn estimate_random_write_fraction(
+    commands: impl IntoIterator<Item = HostCommand>,
+) -> f64 {
     let mut transitions = 0u64;
     let mut non_contiguous = 0u64;
     let mut expected_next: Option<u64> = None;
-    for c in commands.filter(|c| c.op == HostOp::Write) {
+    for c in commands.into_iter().filter(|c| c.op == HostOp::Write) {
         if let Some(next) = expected_next {
             transitions += 1;
             if c.offset != next {
@@ -145,8 +142,9 @@ impl<T> PartialEq for Memo<T> {
 /// before it.
 ///
 /// Implemented by [`Workload`] (synthetic generators), [`TracePlayer`]
-/// (trace replay), [`CommandStream`] (explicit command lists), [`FnSource`]
-/// (closure generators) and the [`generative`](crate::generative) suite;
+/// (trace replay, and explicit command lists collected into one),
+/// [`FnSource`] (closure generators) and the
+/// [`generative`](crate::generative) suite;
 /// users can implement it for their own drivers. The trait is object safe,
 /// so heterogeneous collections of sources (`Vec<Box<dyn CommandSource>>`)
 /// work too.
@@ -158,7 +156,7 @@ impl<T> PartialEq for Memo<T> {
 /// session's source in an `Arc` that its forks share. Every source shipped
 /// here is plain data (closure generators are as thread-safe as the closure
 /// they wrap). A source built on a `RefCell` or an open file handle can be
-/// collected into a [`CommandStream`] first.
+/// collected into a [`TracePlayer`] first.
 pub trait CommandSource: AsDynSource + Send + Sync {
     /// Short label used in performance reports (e.g. "SW", "trace").
     fn label(&self) -> String;
@@ -195,11 +193,13 @@ pub trait CommandSource: AsDynSource + Send + Sync {
     /// Estimated randomness of the write traffic, `0.0` (sequential) to
     /// `1.0` (uniform random), which drives the WAF-based FTL abstraction.
     ///
-    /// The default applies [`estimate_random_write_fraction`] in one pass
-    /// over [`command`](Self::command) that allocates nothing; sources that
-    /// know their own statistics (like [`Workload`]) override it.
+    /// The default makes one pass over [`command`](Self::command) that
+    /// allocates nothing and returns the fraction of write→write
+    /// transitions whose offset does not continue the previous write (`0.0`
+    /// with fewer than two writes); sources that know their own statistics
+    /// (like [`Workload`]) override it.
     fn random_write_fraction(&self) -> f64 {
-        estimate(stream(self))
+        estimate_random_write_fraction(stream(self))
     }
 
     /// The whole stream as one list, in issue order: a convenience for
@@ -333,92 +333,18 @@ impl CommandSource for TracePlayer {
     }
 }
 
-/// An explicit command list with a label, usable anywhere a
-/// [`CommandSource`] is expected.
-///
-/// The write-randomness estimate defaults to
-/// [`estimate_random_write_fraction`] over the stream and can be pinned with
-/// [`with_random_write_fraction`](Self::with_random_write_fraction) when the
-/// caller knows better.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommandStream {
-    label: String,
-    commands: Vec<HostCommand>,
-    random_write_fraction: Option<f64>,
-}
-
-impl CommandStream {
-    /// Wraps a command list under the given report label.
-    pub fn new(label: impl Into<String>, commands: Vec<HostCommand>) -> Self {
-        CommandStream {
-            label: label.into(),
-            commands,
-            random_write_fraction: None,
-        }
-    }
-
-    /// Pins the write-randomness estimate instead of deriving it from the
-    /// stream (clamped to `[0, 1]`).
-    pub fn with_random_write_fraction(mut self, fraction: f64) -> Self {
-        self.random_write_fraction = Some(fraction.clamp(0.0, 1.0));
-        self
-    }
-
-    /// Number of commands in the stream.
-    pub fn len(&self) -> usize {
-        self.commands.len()
-    }
-
-    /// `true` if the stream holds no commands.
-    pub fn is_empty(&self) -> bool {
-        self.commands.is_empty()
-    }
-}
-
-impl CommandSource for CommandStream {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn len(&self) -> u64 {
-        self.commands.len() as u64
-    }
-
-    fn command(&self, index: u64) -> HostCommand {
-        self.commands[index as usize]
-    }
-
-    fn random_write_fraction(&self) -> f64 {
-        self.random_write_fraction
-            .unwrap_or_else(|| estimate_random_write_fraction(&self.commands))
-    }
-
-    fn commands(&self) -> Cow<'_, [HostCommand]> {
-        Cow::Borrowed(&self.commands)
-    }
-}
-
-impl FromIterator<HostCommand> for CommandStream {
-    fn from_iter<I: IntoIterator<Item = HostCommand>>(iter: I) -> Self {
-        CommandStream::new("stream", iter.into_iter().collect())
-    }
-}
-
 /// A closure-backed command source: the generator is invoked with a
 /// command's index each time that command is read. Build one with
 /// [`source_fn`].
 ///
 /// The stream's bounds are computed by one pass over the closure on first
-/// use and cached. Unless a write-randomness estimate is pinned with
-/// [`with_random_write_fraction`](Self::with_random_write_fraction), the
-/// default [`CommandSource::random_write_fraction`] makes one more pass to
-/// estimate it.
+/// use and cached; the default [`CommandSource::random_write_fraction`]
+/// makes one more pass to estimate the write randomness.
 #[derive(Debug, Clone)]
 pub struct FnSource<F> {
     label: String,
     count: u64,
     generate: F,
-    random_write_fraction: Option<f64>,
     bounds: Memo<StreamBounds>,
 }
 
@@ -433,16 +359,8 @@ where
             label: label.into(),
             count,
             generate,
-            random_write_fraction: None,
             bounds: Memo::default(),
         }
-    }
-
-    /// Pins the write-randomness estimate (clamped to `[0, 1]`), which also
-    /// spares the extra pass the default estimator needs.
-    pub fn with_random_write_fraction(mut self, fraction: f64) -> Self {
-        self.random_write_fraction = Some(fraction.clamp(0.0, 1.0));
-        self
     }
 }
 
@@ -464,11 +382,6 @@ where
 
     fn bounds(&self) -> StreamBounds {
         *self.bounds.get_or_init(|| StreamBounds::scan(stream(self)))
-    }
-
-    fn random_write_fraction(&self) -> f64 {
-        self.random_write_fraction
-            .unwrap_or_else(|| estimate(stream(self)))
     }
 }
 
@@ -500,13 +413,13 @@ mod tests {
     #[test]
     fn estimator_reports_zero_for_sequential_streams() {
         let cmds: Vec<HostCommand> = (0..10).map(|i| write(i, i * 4096)).collect();
-        assert_eq!(estimate_random_write_fraction(&cmds), 0.0);
+        assert_eq!(estimate_random_write_fraction(cmds), 0.0);
     }
 
     #[test]
     fn estimator_reports_one_for_fully_scattered_streams() {
         let cmds: Vec<HostCommand> = (0..10).map(|i| write(i, i * (1 << 20))).collect();
-        assert_eq!(estimate_random_write_fraction(&cmds), 1.0);
+        assert_eq!(estimate_random_write_fraction(cmds), 1.0);
     }
 
     #[test]
@@ -515,13 +428,13 @@ mod tests {
         // fraction must be 1/2, not 1/3 (the first write only sets the
         // baseline).
         let cmds = vec![write(0, 0), write(1, 4096), write(2, 1 << 20)];
-        assert_eq!(estimate_random_write_fraction(&cmds), 0.5);
+        assert_eq!(estimate_random_write_fraction(cmds), 0.5);
     }
 
     #[test]
     fn estimator_handles_streams_without_transitions() {
-        assert_eq!(estimate_random_write_fraction(&[]), 0.0);
-        assert_eq!(estimate_random_write_fraction(&[write(0, 777)]), 0.0);
+        assert_eq!(estimate_random_write_fraction([]), 0.0);
+        assert_eq!(estimate_random_write_fraction([write(0, 777)]), 0.0);
         // Reads never count.
         let read = HostCommand {
             id: 1,
@@ -530,7 +443,7 @@ mod tests {
             bytes: 4096,
             issue_at: SimTime::ZERO,
         };
-        assert_eq!(estimate_random_write_fraction(&[read, read]), 0.0);
+        assert_eq!(estimate_random_write_fraction([read, read]), 0.0);
     }
 
     #[test]
@@ -557,17 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn command_stream_overrides_and_clamps_the_fraction() {
-        let stream = CommandStream::new("mine", vec![write(0, 0), write(1, 4096)]);
-        assert_eq!(stream.random_write_fraction(), 0.0);
-        assert_eq!(stream.len(), 2);
-        assert!(!stream.is_empty());
-        let pinned = stream.with_random_write_fraction(7.0);
-        assert_eq!(pinned.random_write_fraction(), 1.0);
-        assert_eq!(pinned.label(), "mine");
-    }
-
-    #[test]
     fn fn_source_generates_on_demand() {
         let src = source_fn("gen", 8, |i| write(i, i * 8192));
         let cmds = src.commands();
@@ -575,29 +477,6 @@ mod tests {
         assert_eq!(cmds[3].offset, 3 * 8192);
         // Every page is 8 KB apart, so no write is contiguous.
         assert_eq!(src.random_write_fraction(), 1.0);
-    }
-
-    #[test]
-    fn fn_source_can_pin_its_fraction_and_skip_the_estimator() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let calls = AtomicU32::new(0);
-        let src = source_fn("gen", 4, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            write(i, i * 8192)
-        })
-        .with_random_write_fraction(2.0);
-        assert_eq!(
-            src.random_write_fraction(),
-            1.0,
-            "pinned values are clamped"
-        );
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            0,
-            "a pinned fraction must not generate the stream"
-        );
-        let _ = src.commands();
-        assert_eq!(calls.load(Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -655,7 +534,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Workload>();
         assert_send_sync::<TracePlayer>();
-        assert_send_sync::<CommandStream>();
         assert_send_sync::<HostCommand>();
         // Closure sources inherit the closure's thread safety.
         fn fn_source_is_send_sync<F: Fn(u64) -> HostCommand + Send + Sync>(
@@ -664,12 +542,5 @@ mod tests {
             s
         }
         let _ = fn_source_is_send_sync(source_fn("t", 1, |i| write(i, 0)));
-    }
-
-    #[test]
-    fn command_stream_collects_from_iterator() {
-        let stream: CommandStream = (0..5).map(|i| write(i, i * 4096)).collect();
-        assert_eq!(stream.len(), 5);
-        assert_eq!(stream.label(), "stream");
     }
 }

@@ -72,18 +72,6 @@ impl MlcTimingProfile {
         }
     }
 
-    /// A fast SLC-like profile, useful for ablation studies.
-    pub fn slc_like() -> Self {
-        MlcTimingProfile {
-            t_read_us: 25,
-            t_prog_min_us: 200,
-            t_prog_max_us: 300,
-            t_bers_min_us: 700,
-            t_bers_max_us: 1_500,
-            wear_slowdown: 0.05,
-        }
-    }
-
     /// Classifies a page index as LSB (fast) or MSB (slow). Even word-line
     /// ordering maps even page indices to LSB pages.
     pub fn page_kind(&self, page_index: u32) -> PageKind {

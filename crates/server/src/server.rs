@@ -227,11 +227,6 @@ impl Server {
         *self.shared.log.lock().unwrap_or_else(|e| e.into_inner()) = Some(sink);
     }
 
-    /// Number of live sessions (for monitoring).
-    pub fn session_count(&self) -> usize {
-        self.shared.host.len()
-    }
-
     /// Triggers a graceful shutdown without blocking: equivalent to a
     /// client sending `Shutdown`.
     pub fn shutdown(&self) {

@@ -124,11 +124,6 @@ impl SessionHost {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Number of live sessions.
-    pub(crate) fn len(&self) -> usize {
-        self.lock().slots.len()
-    }
-
     /// Creates a session; returns its id and the command count. A full
     /// table refuses it before the config text is even parsed.
     pub(crate) fn create(
@@ -587,7 +582,7 @@ mod tests {
             host.advance(id, AdvanceMode::Steps(1)).unwrap_err().code,
             ErrorCode::UnknownSession
         );
-        assert_eq!(host.len(), 0);
+        assert!(host.lock().slots.is_empty());
         let (id2, _) = host.create(&small_config_text(), &small_spec()).unwrap();
         let adv = host.advance(id2, AdvanceMode::Steps(8)).unwrap();
         assert_eq!((adv.executed, adv.completed), (8, 8));

@@ -260,11 +260,17 @@ fn buffer_and_core_counts_that_size_huge_allocations_are_refused_not_fatal() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     // Each count sizes one `Vec` when the platform is built; an allocation
     // that large aborts the process, which no `catch_unwind` can stop. The
-    // third overflows the session's aggregate buffer capacity in `u64`.
+    // third overflows the session's aggregate buffer capacity in `u64`. The
+    // last four are values the WAF model and the adaptive ECC table would
+    // panic on: the parser refuses them before building either.
     let configs = [
         "dram_buffers = 4294967295\n",
         "cpu_cores = 4294967295\n",
         "dram_buffers = 65536\ndram_buffer_capacity = 18446744073709551615\n",
+        "over_provisioning = inf\n",
+        "over_provisioning = 1e400\n",
+        "ecc = adaptive-bch:3\n",
+        "ecc = adaptive-bch:0\n",
     ];
     let spec = ssdx_server::WorkloadSpec::Basic {
         pattern: ssdx_hostif::AccessPattern::SequentialWrite,

@@ -274,7 +274,7 @@ impl fmt::Display for SimTime {
 /// ```
 /// use ssdx_sim::Frequency;
 /// let cpu = Frequency::from_mhz(200);
-/// assert_eq!(cpu.period().as_ns(), 5);
+/// assert_eq!(cpu.cycles_to_time(1).as_ns(), 5);
 /// assert_eq!(cpu.cycles_to_time(200_000_000).as_ms(), 1000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -302,12 +302,6 @@ impl Frequency {
     #[inline]
     pub fn as_hz(self) -> u64 {
         self.hz
-    }
-
-    /// Clock period.
-    #[inline]
-    pub fn period(self) -> SimTime {
-        SimTime::from_ps(1_000_000_000_000 / self.hz)
     }
 
     /// Duration of `cycles` clock cycles.
@@ -401,9 +395,9 @@ mod tests {
 
     #[test]
     fn frequency_period_is_exact_for_platform_clocks() {
-        assert_eq!(Frequency::from_mhz(200).period().as_ps(), 5_000);
-        assert_eq!(Frequency::from_mhz(400).period().as_ps(), 2_500);
-        assert_eq!(Frequency::from_mhz(1_000).period().as_ps(), 1_000);
+        assert_eq!(Frequency::from_mhz(200).cycles_to_time(1).as_ps(), 5_000);
+        assert_eq!(Frequency::from_mhz(400).cycles_to_time(1).as_ps(), 2_500);
+        assert_eq!(Frequency::from_mhz(1_000).cycles_to_time(1).as_ps(), 1_000);
     }
 
     #[test]

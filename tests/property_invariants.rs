@@ -85,7 +85,6 @@ proptest! {
         let weak = BchCodec::with_t(low);
         let strong = BchCodec::with_t(high);
         prop_assert!(strong.decode_latency(0.0) >= weak.decode_latency(0.0));
-        prop_assert!(strong.parity_bytes() >= weak.parity_bytes());
     }
 
     #[test]

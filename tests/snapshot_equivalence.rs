@@ -265,40 +265,6 @@ proptest! {
     }
 }
 
-/// A platform-only image ([`Ssd::capture`]) restores through
-/// [`Ssd::restore`] and the restored platform replays the remainder of a
-/// simulation identically; the session-carrying image is rejected by
-/// `restore` and the platform-only image by `fork`, so the two entry
-/// points cannot be crossed.
-#[test]
-fn platform_images_and_session_images_do_not_cross() {
-    let cfg = config(2, 2, 11, FtlMode::WafAbstraction);
-    let w = workload(AccessPattern::RandomWrite, 32, 11);
-
-    let mut ssd = Ssd::try_new(cfg.clone()).unwrap();
-    let platform_image = ssd.capture();
-    let session_image = {
-        let mut session = ssd.session(&w);
-        for _ in 0..16 {
-            session.step();
-        }
-        session.capture()
-    };
-
-    let mut other = Ssd::try_new(cfg).unwrap();
-    assert!(matches!(
-        other.restore(&session_image),
-        Err(DecodeError::Invalid { .. })
-    ));
-    assert!(matches!(
-        SimSession::fork(&mut other, &w, &platform_image),
-        Err(DecodeError::Invalid { .. })
-    ));
-    other
-        .restore(&platform_image)
-        .expect("a platform image restores");
-}
-
 /// The replica explorer used by the warm-start legs: `replicas` identical
 /// points (distinct labels, no-op mutators) over one platform, so all jobs
 /// fall into a single warm-start group.
