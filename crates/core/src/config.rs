@@ -17,6 +17,7 @@ use ssdx_ftl::WafModel;
 use ssdx_hostif::{HostInterface, NvmeInterface, PcieGen, SataInterface};
 use ssdx_nand::{MlcTimingProfile, NandConfig, NandGeometry, OnfiSpeed, WearModel};
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// DRAM-buffer management policy (the paper's "caching" vs "no caching").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,6 +192,13 @@ impl Default for FaultConfig {
 /// each size one allocation when the platform is built.
 pub const MAX_TOTAL_DIES: u64 = 1 << 16;
 
+/// The over-provisioning factors a configuration may carry: 0.01 to 100.
+/// At 0.01 the WAF model amplifies random writes 50.5×; at 100 a
+/// page-mapped FTL holds 101× the stream's footprint.
+/// [`SsdConfig::validate`] and [`SsdConfig::from_text`] refuse any other
+/// factor, NaN and the infinities included.
+pub const OVER_PROVISIONING_RANGE: RangeInclusive<f64> = 0.01..=100.0;
+
 /// Errors produced while building or parsing a configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -264,7 +272,9 @@ pub struct SsdConfig {
     pub compressor: CompressorConfig,
     /// FTL accounting mode (WAF abstraction or actual page-mapped FTL).
     pub ftl_mode: FtlMode,
-    /// Write-amplification (FTL abstraction) model.
+    /// Write-amplification (FTL abstraction) model. Its over-provisioning
+    /// also sizes the page-mapped FTL, and must lie in
+    /// [`OVER_PROVISIONING_RANGE`].
     pub waf: WafModel,
     /// Number of controller CPU cores executing the firmware.
     pub cpu_cores: u32,
@@ -327,8 +337,9 @@ impl SsdConfig {
     /// Returns [`ConfigError::ZeroDimension`] naming the offending field,
     /// [`ConfigError::TooManyDies`] when the topology holds more than
     /// [`MAX_TOTAL_DIES`] dies, or [`ConfigError::BadValue`] when
-    /// `dram_buffers` or `cpu_cores` exceeds that bound or the aggregate
-    /// buffer capacity overflows `u64`.
+    /// `dram_buffers` or `cpu_cores` exceeds that bound, the aggregate
+    /// buffer capacity overflows `u64`, or the over-provisioning factor lies
+    /// outside [`OVER_PROVISIONING_RANGE`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn out_of_range(key: &str, value: impl fmt::Display) -> ConfigError {
             ConfigError::BadValue {
@@ -372,6 +383,10 @@ impl SsdConfig {
         }
         if self.cpu_cores as u64 > MAX_TOTAL_DIES {
             return Err(out_of_range("cpu_cores", self.cpu_cores));
+        }
+        let op = self.waf.over_provisioning;
+        if !OVER_PROVISIONING_RANGE.contains(&op) {
+            return Err(out_of_range("over_provisioning", format!("{op:?}")));
         }
         Ok(())
     }
@@ -563,8 +578,11 @@ impl SsdConfig {
                     }
                 }
                 "over_provisioning" => {
+                    // Checked before `WafModel::new`, which panics on a
+                    // factor that is not positive and finite, so that the
+                    // error names the text as given.
                     let op: f64 = value.parse().map_err(|_| bad())?;
-                    if !op.is_finite() || op <= 0.0 {
+                    if !OVER_PROVISIONING_RANGE.contains(&op) {
                         return Err(bad());
                     }
                     config.waf = WafModel::new(op);
@@ -719,7 +737,8 @@ impl SsdConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `op` is not positive and finite.
+    /// Panics if `op` is not positive and finite. A finite factor outside
+    /// [`OVER_PROVISIONING_RANGE`] is refused by [`build`](Self::build).
     pub fn over_provisioning(mut self, op: f64) -> Self {
         self.config.waf = WafModel::new(op);
         self
@@ -1055,12 +1074,16 @@ mod tests {
             SsdConfig::from_text("over_provisioning = -1\n").unwrap_err(),
             ConfigError::BadValue { .. }
         ));
-        // Values the models they build would panic on are refused before
-        // anything is built: an infinite spare factor, and an adaptive code
-        // too weak for the default wear table's 4-bit floor.
+        // Values the models they build would panic on or never finish with
+        // are refused before anything is built: a spare factor that is
+        // infinite or outside [0.01, 100], and an adaptive code too weak
+        // for the default wear table's 4-bit floor.
         for (key, value) in [
             ("over_provisioning", "inf"),
             ("over_provisioning", "1e400"),
+            ("over_provisioning", "1e-300"),
+            ("over_provisioning", "0.001"),
+            ("over_provisioning", "1000"),
             ("ecc", "adaptive-bch:3"),
             ("ecc", "adaptive-bch:0"),
         ] {
@@ -1073,6 +1096,36 @@ mod tests {
             );
         }
         assert!(SsdConfig::from_text("ecc = adaptive-bch:4\n").is_ok());
+        assert!(SsdConfig::from_text("over_provisioning = 0.01\n").is_ok());
+        assert!(SsdConfig::from_text("over_provisioning = 100\n").is_ok());
+    }
+
+    /// A struct literal or a sweep mutator can set any factor; validation
+    /// refuses the ones outside the range, so no platform is built on them.
+    #[test]
+    fn over_provisioning_outside_its_range_is_rejected() {
+        for op in [0.0, f64::NAN, 1e-300] {
+            let config = SsdConfig {
+                waf: WafModel {
+                    over_provisioning: op,
+                },
+                ..SsdConfig::default()
+            };
+            let refusal = ConfigError::BadValue {
+                key: "over_provisioning".to_string(),
+                value: format!("{op:?}"),
+            };
+            assert_eq!(config.validate(), Err(refusal.clone()));
+            assert_eq!(crate::Ssd::try_new(config).err(), Some(refusal.clone()));
+            let axis = crate::Axis::new("op").point("bad", move |cfg| {
+                cfg.waf.over_provisioning = op;
+            });
+            let jobs = crate::Explorer::new(SsdConfig::default()).over(axis).jobs();
+            assert!(matches!(
+                jobs,
+                Err(crate::SweepError::InvalidPoint { error, .. }) if error == refusal
+            ));
+        }
     }
 
     #[test]

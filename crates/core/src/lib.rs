@@ -66,7 +66,7 @@ pub mod ssd;
 
 pub use config::{
     CachePolicy, CompressorConfig, ConfigError, FaultConfig, FtlMode, HostInterfaceConfig,
-    SsdConfig, SsdConfigBuilder, MAX_TOTAL_DIES,
+    SsdConfig, SsdConfigBuilder, MAX_TOTAL_DIES, OVER_PROVISIONING_RANGE,
 };
 pub use explorer::{
     endurance_axis, host_interface_study, wearout_study, Axis, AxisValue, Explorer, HostSweep,

@@ -42,10 +42,10 @@ use crate::config::{CachePolicy, FtlMode};
 use crate::metrics::{ClassHistograms, LatencyHistogram, SteadyStateCutoff};
 use crate::report::{PerfReport, UtilizationBreakdown};
 use crate::snapshot::{self, Snapshot};
-use crate::ssd::Ssd;
+use crate::ssd::{waf_pages, window_admit, Ssd};
 use ssdx_compress::{CompressorModel, CompressorPlacement};
 use ssdx_dram::AccessKind;
-use ssdx_ftl::{PageMappedFtl, WorkloadMix};
+use ssdx_ftl::PageMappedFtl;
 use ssdx_hostif::{CommandSource, HostCommand, HostOp};
 use ssdx_nand::NandOp;
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
@@ -230,21 +230,21 @@ impl<'a> SimSession<'a> {
     /// workload mix and the bounds that size the per-run state.
     pub(crate) fn new(mut ssd: Platform<'a>, source: Source<'a>) -> Self {
         let label = source.label();
-        let mix = WorkloadMix::mixed(source.random_write_fraction());
+        let waf = ssd.stream_waf(source.random_write_fraction());
         let len = source.len();
         let bounds = source.bounds();
         ssd.reset_activity();
 
         let queue_depth = ssd.config().queue_depth() as usize;
         let page_bytes = ssd.config().nand.geometry.page_size_bytes;
-        let waf = ssd.config().waf.waf(mix);
         let buffer_capacity = ssd.config().dram_buffers as u64 * ssd.config().dram_buffer_capacity;
         let compressor = ssd.config().compressor.build();
 
         // In page-mapped mode an actual FTL is instantiated, sized to cover
         // the logical footprint the command stream touches (plus the
         // configured over-provisioning), and its garbage collection issues
-        // real NAND operations that compete with host traffic.
+        // real NAND operations that compete with host traffic. The block
+        // count saturates, so an oversized one meets the FTL's size check.
         let ftl: Option<PageMappedFtl> = if ssd.config().ftl_mode == FtlMode::PageMapped {
             let logical_pages = bounds.max_end.div_ceil(page_bytes as u64).max(1);
             let pages_per_block = ssd.config().nand.geometry.pages_per_block as u64;
@@ -252,7 +252,7 @@ impl<'a> SimSession<'a> {
                 / pages_per_block as f64)
                 .ceil() as u32)
                 .max(8)
-                + 8;
+                .saturating_add(8);
             Some(
                 PageMappedFtl::new(
                     blocks,
@@ -422,8 +422,9 @@ impl<'a> SimSession<'a> {
     /// Returns a [`DecodeError`] if the image is malformed or truncated,
     /// was captured from a different topology or seed, carries no session
     /// state (its session flag is false; [`capture`](Self::capture) always
-    /// sets it), or disagrees with the session's derived geometry (cursor
-    /// past the stream end, FTL presence mismatch). On error the platform
+    /// sets it), carries a WAF carry outside [0, 1), or disagrees with the
+    /// session's derived geometry (cursor past the stream end, FTL presence
+    /// mismatch). On error the platform
     /// may hold partially-restored state; fork again or discard it.
     pub fn fork<S: CommandSource + ?Sized>(
         ssd: &'a mut Ssd,
@@ -511,6 +512,9 @@ impl<'a> SimSession<'a> {
             self.in_flight.push(Reverse(entry));
         }
         self.waf_carry = dec.get_f64()?;
+        if !(0.0..1.0).contains(&self.waf_carry) {
+            return Err(dec.invalid("WAF carry outside [0, 1)"));
+        }
         self.classes.decode_state(&mut dec)?;
         self.warmup.decode_state(&mut dec)?;
         self.steady_state = match dec.get_u8()? {
@@ -579,7 +583,8 @@ impl<'a> SimSession<'a> {
     /// rebuilt from the out-of-band journal. The rebuild is charged to the
     /// firmware CPU as one scan task per recovered block's worth of live
     /// mappings, so the outage shows up in the latency of the commands that
-    /// follow. No-op in [`FtlMode::Waf`] mode, where no real mapping exists.
+    /// follow. No-op in [`FtlMode::WafAbstraction`] mode, where no real
+    /// mapping exists.
     fn inject_power_loss(&mut self, at: SimTime) {
         let pages_per_block = self.ssd.config().nand.geometry.pages_per_block;
         let Some(f) = self.ftl.as_mut() else {
@@ -641,15 +646,9 @@ impl<'a> SimSession<'a> {
     fn execute(&mut self, cmd: &HostCommand) -> (SimTime, SimTime) {
         let page_bytes = self.ssd.config().nand.geometry.page_size_bytes;
         let raw_page_bytes = self.ssd.config().nand.geometry.raw_page_bytes();
-        let pages_per_block = u64::from(self.ssd.config().nand.geometry.pages_per_block);
 
         // --- Admission: protocol queue window ----------------------------
-        let mut admit = cmd.issue_at;
-        if self.window.len() >= self.queue_depth {
-            if let Some(Reverse(earliest)) = self.window.pop() {
-                admit = admit.max(earliest);
-            }
-        }
+        let mut admit = window_admit(&mut self.window, self.queue_depth, cmd.issue_at);
 
         let completion = match cmd.op {
             HostOp::Write => {
@@ -671,8 +670,7 @@ impl<'a> SimSession<'a> {
                     }
                     _ => cmd.bytes,
                 };
-                let transfer = self.ssd.host_transfer_time(cmd.bytes);
-                let link = self.ssd.host_link.reserve(admit, transfer);
+                let link = self.ssd.host_link_at(admit, cmd.bytes);
                 let host_side_comp_done = match self.compressor {
                     Some(c) if c.placement == CompressorPlacement::HostSide => {
                         link.end + c.compress_time(cmd.bytes)
@@ -690,15 +688,8 @@ impl<'a> SimSession<'a> {
                     .end;
 
                 // --- Firmware + descriptor traffic on the AHB -------------
-                let core = (cmd.id % self.ssd.cpus.len() as u64) as usize;
-                let fw = self.ssd.cpus[core].execute_command_overhead(admit.max(link.start));
-                let desc_bytes = 4 * self.ssd.cpus[core].bus_accesses_per_task() * 4;
-                let ahb_done = self
-                    .ssd
-                    .ahb
-                    .transfer(fw.start, core as u32, 0, desc_bytes)
-                    .end;
-                let ready = dram_done.max(fw.end).max(ahb_done);
+                let (fw_done, ahb_done) = self.ssd.firmware_at(admit.max(link.start), cmd.id);
+                let ready = dram_done.max(fw_done).max(ahb_done);
 
                 // --- Optional channel-side compression --------------------
                 let (nand_payload, comp_done) = match self.compressor {
@@ -728,13 +719,8 @@ impl<'a> SimSession<'a> {
                                 after.erases - before.erases,
                             )
                         };
-                        // FTL blocks are superblocks striped over the whole
-                        // array (see `PageAllocator::locate`).
                         let target = match location {
-                            Some((blk, page)) => self
-                                .ssd
-                                .allocator
-                                .locate(u64::from(blk) * pages_per_block + u64::from(page)),
+                            Some(location) => self.ssd.ftl_target(location),
                             None => self.ssd.allocator.next_write(),
                         };
                         let done = self.ssd.program_page_at(comp_done, buf, cmd.offset, target);
@@ -767,13 +753,7 @@ impl<'a> SimSession<'a> {
                     // WAF abstraction: inflate the physical page count
                     // analytically and stripe the programs across the array.
                     let host_pages = nand_payload.div_ceil(page_bytes).max(1);
-                    self.waf_carry += host_pages as f64 * (self.waf - 1.0);
-                    let mut phys_pages = host_pages;
-                    while self.waf_carry >= 1.0 {
-                        phys_pages += 1;
-                        self.waf_carry -= 1.0;
-                    }
-                    for _ in 0..phys_pages {
+                    for _ in 0..waf_pages(&mut self.waf_carry, host_pages, self.waf) {
                         let target = self.ssd.allocator.next_write();
                         let done = self.ssd.program_page_at(comp_done, buf, cmd.offset, target);
                         last_nand = last_nand.max(done);
@@ -784,21 +764,14 @@ impl<'a> SimSession<'a> {
                 self.in_flight.push(Reverse((last_nand, cmd.bytes as u64)));
                 self.in_flight_bytes += cmd.bytes as u64;
                 match self.ssd.config().cache_policy {
-                    CachePolicy::WriteCache => dram_done.max(fw.end),
-                    CachePolicy::NoCache => last_nand.max(fw.end),
+                    CachePolicy::WriteCache => dram_done.max(fw_done),
+                    CachePolicy::NoCache => last_nand.max(fw_done),
                 }
             }
             HostOp::Read => {
                 // --- Firmware + descriptor traffic ------------------------
-                let core = (cmd.id % self.ssd.cpus.len() as u64) as usize;
-                let fw = self.ssd.cpus[core].execute_command_overhead(admit);
-                let desc_bytes = 4 * self.ssd.cpus[core].bus_accesses_per_task() * 4;
-                let ahb_done = self
-                    .ssd
-                    .ahb
-                    .transfer(fw.start, core as u32, 0, desc_bytes)
-                    .end;
-                let ready = fw.end.max(ahb_done);
+                let (fw_done, ahb_done) = self.ssd.firmware_at(admit, cmd.id);
+                let ready = fw_done.max(ahb_done);
 
                 // --- Read every page from the array -----------------------
                 let pages = cmd.bytes.div_ceil(page_bytes).max(1);
@@ -808,41 +781,15 @@ impl<'a> SimSession<'a> {
                 for p in 0..pages {
                     let lpn = first_lpn + p as u64;
                     let target = match self.ftl.as_ref().and_then(|f| f.lookup(lpn)) {
-                        Some((blk, page)) => self
-                            .ssd
-                            .allocator
-                            .locate(u64::from(blk) * pages_per_block + u64::from(page)),
+                        Some(location) => self.ssd.ftl_target(location),
                         None => self.ssd.allocator.locate(lpn),
                     };
-                    let (channel, way, die, addr) =
-                        (target.channel, target.way, target.die, target.addr);
-                    let out = self.ssd.channels[channel as usize].execute(
-                        ready,
-                        way,
-                        die,
-                        NandOp::Read,
-                        addr,
-                        raw_page_bytes,
-                    );
-                    let pe = self.ssd.channels[channel as usize]
-                        .die(way, die)
-                        // ssdx-lint::allow(no-panic-in-hot-path): the
-                        // allocator and the channels are built from the
-                        // same geometry, so every target it hands out is
-                        // in range; a miss means the config was mutated
-                        // mid-run.
-                        .expect("allocator targets are in range")
-                        .block_pe_cycles(addr);
-                    let dec_latency =
-                        self.ssd
-                            .ecc_decode_latency(page_bytes, pe, out.expected_raw_errors);
-                    let dec = self.ssd.ecc_decoders[channel as usize]
-                        .reserve(out.complete_at, dec_latency);
+                    let decoded = self.ssd.read_page_at(ready, target);
                     let decomp_done = match self.compressor {
                         Some(c) if c.placement == CompressorPlacement::ChannelSide => {
-                            dec.end + c.decompress_time(page_bytes)
+                            decoded + c.decompress_time(page_bytes)
                         }
-                        _ => dec.end,
+                        _ => decoded,
                     };
                     let dram_done = self.ssd.dram[buf]
                         .access(decomp_done, cmd.offset, page_bytes, AccessKind::Write)
@@ -857,8 +804,7 @@ impl<'a> SimSession<'a> {
                     }
                     _ => last_page,
                 };
-                let transfer = self.ssd.host_transfer_time(cmd.bytes);
-                self.ssd.host_link.reserve(host_side_decomp, transfer).end
+                self.ssd.host_link_at(host_side_decomp, cmd.bytes).end
             }
             HostOp::Trim => {
                 // TRIM only touches the FTL metadata: firmware cost only.

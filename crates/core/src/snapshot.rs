@@ -383,6 +383,35 @@ mod tests {
         );
     }
 
+    /// A session's WAF carry stays in [0, 1), and the closed-form WAF
+    /// charge is exact only below 2^53, so an image carrying any other
+    /// value is refused.
+    #[test]
+    fn fork_refuses_a_waf_carry_outside_the_unit_interval() {
+        for carry in [1.0, 1e300, -0.5, f64::NAN] {
+            let mut ssd = platform(2);
+            let mut enc = Encoder::new();
+            encode_header(&mut enc, ssd.config());
+            ssd.encode_state(&mut enc);
+            enc.put_bool(true);
+            enc.put_u64(0);
+            enc.put_len(0);
+            enc.put_len(0);
+            enc.put_f64(carry);
+            let err = fork_error(&mut ssd, &Snapshot::from_encoder(enc));
+            assert!(
+                matches!(
+                    err,
+                    DecodeError::Invalid {
+                        what: "WAF carry outside [0, 1)",
+                        ..
+                    }
+                ),
+                "{carry}: {err:?}"
+            );
+        }
+    }
+
     #[test]
     fn state_inventory_has_no_duplicates() {
         let mut names: Vec<&str> = STATE_INVENTORY.iter().map(|e| e.crate_name).collect();

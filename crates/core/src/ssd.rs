@@ -35,7 +35,7 @@ use ssdx_hostif::{CommandSource, HostInterface, HostOp, Workload};
 use ssdx_interconnect::{AhbBus, AhbConfig};
 use ssdx_nand::{NandOp, OnfiBus};
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
-use ssdx_sim::{Resource, SimTime};
+use ssdx_sim::{Grant, Resource, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -157,17 +157,6 @@ impl Ssd {
             self.ecc_encode_memo = (pe, self.config.ecc.encode_latency_for(page_bytes, pe));
         }
         self.ecc_encode_memo.1
-    }
-
-    /// Host-link occupancy of one command with a `bytes` payload, through
-    /// the one-entry memo (identical value to
-    /// [`HostInterface::transfer_time`]).
-    #[inline]
-    pub(crate) fn host_transfer_time(&mut self, bytes: u32) -> SimTime {
-        if self.host_transfer_memo.0 != bytes {
-            self.host_transfer_memo = (bytes, self.iface.transfer_time(bytes));
-        }
-        self.host_transfer_memo.1
     }
 
     /// ECC decode latency for one page at the given wear and expected raw
@@ -346,6 +335,33 @@ impl Ssd {
         self.session(source).finish()
     }
 
+    // --- Pipeline stages: `SimSession::execute` and the reference series
+    // compose these, so each block of the Fig. 1 template is booked once.
+
+    /// Moves one command's `bytes` payload over the host link, starting no
+    /// earlier than `at`. The link time comes through a one-entry memo: it
+    /// costs a 128-bit division and is a pure function of the payload size.
+    #[inline]
+    pub(crate) fn host_link_at(&mut self, at: SimTime, bytes: u32) -> Grant {
+        if self.host_transfer_memo.0 != bytes {
+            self.host_transfer_memo = (bytes, self.iface.transfer_time(bytes));
+        }
+        self.host_link.reserve(at, self.host_transfer_memo.1)
+    }
+
+    /// Runs the firmware of command `id` from `at`: commands are dealt to
+    /// the cores round-robin by id, the core runs the foreground tasks, and
+    /// their descriptor traffic crosses the AHB from the first task's start.
+    /// Returns when the firmware and when the descriptor transfer end.
+    #[inline]
+    pub(crate) fn firmware_at(&mut self, at: SimTime, id: u64) -> (SimTime, SimTime) {
+        let core = (id % self.cpus.len() as u64) as usize;
+        let fw = self.cpus[core].execute_command_overhead(at);
+        let desc_bytes = 4 * self.cpus[core].bus_accesses_per_task() * 4;
+        let ahb = self.ahb.transfer(fw.start, core as u32, 0, desc_bytes);
+        (fw.end, ahb.end)
+    }
+
     /// Issues one physical page program (ECC encode, DRAM flush, channel
     /// transfer, NAND program) starting no earlier than `at`, returning the
     /// instant the array operation completes.
@@ -358,13 +374,9 @@ impl Ssd {
     ) -> SimTime {
         let page_bytes = self.config.nand.geometry.page_size_bytes;
         let raw_page_bytes = self.config.nand.geometry.raw_page_bytes();
-        let PageTarget {
-            channel,
-            way,
-            die,
-            addr,
-        } = target;
-        let pe = self.channels[channel as usize]
+        let PageTarget { way, die, addr, .. } = target;
+        let channel = target.channel as usize;
+        let pe = self.channels[channel]
             .die(way, die)
             // ssdx-lint::allow(no-panic-in-hot-path): every target comes from
             // the allocator or the FTL block map, both built from the same
@@ -373,13 +385,35 @@ impl Ssd {
             .expect("targets are in range")
             .block_pe_cycles(addr);
         let enc_latency = self.ecc_encode_latency(page_bytes, pe);
-        let enc = self.ecc_encoders[channel as usize].reserve(at, enc_latency);
+        let enc = self.ecc_encoders[channel].reserve(at, enc_latency);
         let flush = self.dram[buf]
             .access(enc.end, offset, page_bytes, AccessKind::Read)
             .end;
-        self.channels[channel as usize]
+        self.channels[channel]
             .execute(flush, way, die, NandOp::Program, addr, raw_page_bytes)
             .complete_at
+    }
+
+    /// Issues one physical page read (NAND read, channel transfer, then the
+    /// channel's ECC decoder at the block's wear and the page's expected raw
+    /// errors) starting no earlier than `at`, returning the instant the
+    /// corrected page leaves the decoder.
+    pub(crate) fn read_page_at(&mut self, at: SimTime, target: PageTarget) -> SimTime {
+        let page_bytes = self.config.nand.geometry.page_size_bytes;
+        let raw_page_bytes = self.config.nand.geometry.raw_page_bytes();
+        let PageTarget { way, die, addr, .. } = target;
+        let channel = target.channel as usize;
+        let out = self.channels[channel].execute(at, way, die, NandOp::Read, addr, raw_page_bytes);
+        let pe = self.channels[channel]
+            .die(way, die)
+            // ssdx-lint::allow(no-panic-in-hot-path): in range for the same
+            // reason as in `program_page_at`.
+            .expect("targets are in range")
+            .block_pe_cycles(addr);
+        let dec_latency = self.ecc_decode_latency(page_bytes, pe, out.expected_raw_errors);
+        self.ecc_decoders[channel]
+            .reserve(out.complete_at, dec_latency)
+            .end
     }
 
     /// Issues one block erase starting no earlier than `at`, returning the
@@ -395,6 +429,25 @@ impl Ssd {
         self.channels[channel as usize]
             .execute(at, way, die, NandOp::Erase, addr, 0)
             .complete_at
+    }
+
+    /// The physical page behind page `page` of FTL block `block`. FTL
+    /// blocks are superblocks striped over the whole array (see
+    /// [`PageAllocator::locate`]).
+    #[inline]
+    pub(crate) fn ftl_target(&self, (block, page): (u32, u32)) -> PageTarget {
+        let pages_per_block = u64::from(self.config.nand.geometry.pages_per_block);
+        self.allocator
+            .locate(u64::from(block) * pages_per_block + u64::from(page))
+    }
+
+    /// The write amplification the WAF abstraction charges a stream whose
+    /// writes are `random_write_fraction` random: the greedy-GC model of
+    /// Hu et al. (SYSTOR 2009) at the configured over-provisioning.
+    pub(crate) fn stream_waf(&self, random_write_fraction: f64) -> f64 {
+        self.config
+            .waf
+            .waf(WorkloadMix::mixed(random_write_fraction))
     }
 
     /// The full activity horizon at the given host-visible `elapsed` time:
@@ -473,11 +526,7 @@ impl Ssd {
         latency: LatencyHistogram,
         class_latency: ClassHistograms,
     ) -> PerfReport {
-        let throughput_mbps = if elapsed.is_zero() {
-            0.0
-        } else {
-            total_bytes as f64 / 1e6 / elapsed.as_secs_f64()
-        };
+        let throughput_mbps = mbps(total_bytes, elapsed);
         let iops = if elapsed.is_zero() {
             0.0
         } else {
@@ -514,25 +563,18 @@ impl Ssd {
 
     /// Best-case throughput of the host interface plus the DMA into the DRAM
     /// buffers, in MB/s — the paper's "SATA+DDR" / "PCIE+DDR" series. Only
-    /// the link, the DMA and the buffers are exercised; everything
-    /// downstream is assumed infinitely fast.
+    /// the protocol window, the link, the DMA and the buffers are
+    /// exercised; everything downstream is assumed infinitely fast.
     pub fn host_dram_only_mbps(&mut self, workload: &Workload) -> f64 {
         self.reset_activity();
         let queue_depth = self.config.queue_depth() as usize;
-        let mut window: BinaryHeap<Reverse<SimTime>> = BinaryHeap::new();
+        let mut window = BinaryHeap::new();
         let mut last = SimTime::ZERO;
         let mut bytes = 0u64;
         for index in 0..workload.len() {
             let cmd = workload.command(index);
-            let mut admit = cmd.issue_at;
-            if window.len() >= queue_depth {
-                if let Some(Reverse(earliest)) = window.pop() {
-                    admit = admit.max(earliest);
-                }
-            }
-            let link = self
-                .host_link
-                .reserve(admit, self.iface.transfer_time(cmd.bytes));
+            let admitted = window_admit(&mut window, queue_depth, cmd.issue_at);
+            let link = self.host_link_at(admitted, cmd.bytes);
             let buf = (cmd.id % self.dram.len() as u64) as usize;
             let kind = if cmd.op == HostOp::Read {
                 AccessKind::Read
@@ -546,11 +588,7 @@ impl Ssd {
             bytes += cmd.bytes as u64;
             last = last.max(dram_done);
         }
-        if last.is_zero() {
-            0.0
-        } else {
-            bytes as f64 / 1e6 / last.as_secs_f64()
-        }
+        mbps(bytes, last)
     }
 
     /// Throughput of the DRAM-to-flash back end alone, in MB/s — the paper's
@@ -558,15 +596,8 @@ impl Ssd {
     /// buffered data, with no host-side constraint.
     pub fn flash_path_mbps(&mut self, workload: &Workload) -> f64 {
         self.reset_activity();
-        let mix = if workload.pattern.is_random() {
-            WorkloadMix::random()
-        } else {
-            WorkloadMix::sequential()
-        };
-        let waf = self.config.waf.waf(mix);
+        let waf = self.stream_waf(workload.random_write_fraction());
         let page_bytes = self.config.nand.geometry.page_size_bytes;
-        let raw_page_bytes = self.config.nand.geometry.raw_page_bytes();
-        let is_write = workload.pattern.op() == HostOp::Write;
         let mut waf_carry = 0.0f64;
         let mut last = SimTime::ZERO;
         let mut bytes = 0u64;
@@ -574,61 +605,65 @@ impl Ssd {
             let cmd = workload.command(index);
             let buf = (cmd.id % self.dram.len() as u64) as usize;
             let pages = cmd.bytes.div_ceil(page_bytes).max(1);
-            let mut phys_pages = pages;
-            if is_write {
-                waf_carry += pages as f64 * (waf - 1.0);
-                while waf_carry >= 1.0 {
-                    phys_pages += 1;
-                    waf_carry -= 1.0;
-                }
-            }
-            for p in 0..phys_pages {
-                if is_write {
+            if cmd.op == HostOp::Write {
+                for _ in 0..waf_pages(&mut waf_carry, pages, waf) {
                     let target = self.allocator.next_write();
                     let done = self.program_page_at(SimTime::ZERO, buf, cmd.offset, target);
                     last = last.max(done);
-                } else {
-                    let PageTarget {
-                        channel,
-                        way,
-                        die,
-                        addr,
-                    } = self
-                        .allocator
-                        .locate(cmd.offset / page_bytes as u64 + p as u64);
-                    let pe = self.channels[channel as usize]
-                        .die(way, die)
-                        // ssdx-lint::allow(no-panic-in-hot-path): the
-                        // allocator and the channels are built from the
-                        // same geometry, so every target it hands out is
-                        // in range; a miss means the config was mutated.
-                        .expect("allocator targets are in range")
-                        .block_pe_cycles(addr);
-                    let out = self.channels[channel as usize].execute(
-                        SimTime::ZERO,
-                        way,
-                        die,
-                        NandOp::Read,
-                        addr,
-                        raw_page_bytes,
-                    );
-                    let dec_latency =
-                        self.ecc_decode_latency(page_bytes, pe, out.expected_raw_errors);
-                    let dec =
-                        self.ecc_decoders[channel as usize].reserve(out.complete_at, dec_latency);
+                }
+            } else {
+                let first_lpn = cmd.offset / page_bytes as u64;
+                for p in 0..pages {
+                    let target = self.allocator.locate(first_lpn + p as u64);
+                    let decoded = self.read_page_at(SimTime::ZERO, target);
                     let dram_done = self.dram[buf]
-                        .access(dec.end, cmd.offset, page_bytes, AccessKind::Write)
+                        .access(decoded, cmd.offset, page_bytes, AccessKind::Write)
                         .end;
                     last = last.max(dram_done);
                 }
             }
             bytes += cmd.bytes as u64;
         }
-        if last.is_zero() {
-            0.0
-        } else {
-            bytes as f64 / 1e6 / last.as_secs_f64()
-        }
+        mbps(bytes, last)
+    }
+}
+
+/// Protocol-window admission: a command issued at `issue_at` enters once
+/// fewer than `depth` commands are outstanding. With the window full it
+/// waits for the earliest completion, which leaves the window; the caller
+/// pushes the command's own completion once it knows it.
+#[inline]
+pub(crate) fn window_admit(
+    window: &mut BinaryHeap<Reverse<SimTime>>,
+    depth: usize,
+    issue_at: SimTime,
+) -> SimTime {
+    if window.len() < depth {
+        return issue_at;
+    }
+    window.pop().map_or(issue_at, |Reverse(t)| issue_at.max(t))
+}
+
+/// The WAF abstraction's page charge for a write of `host_pages` pages:
+/// each page carries `waf − 1` garbage-collection programs, and the
+/// fraction of a page left over carries to the next write in `carry`.
+/// Returns the physical pages to program. Subtracting `carry.floor()`
+/// once leaves exactly the carry that taking one page at a time leaves,
+/// for any carry below 2^53.
+#[inline]
+pub(crate) fn waf_pages(carry: &mut f64, host_pages: u32, waf: f64) -> u32 {
+    *carry += f64::from(host_pages) * (waf - 1.0);
+    let extra = carry.floor();
+    *carry -= extra;
+    host_pages + extra as u32
+}
+
+/// `bytes` moved in `elapsed`, in MB/s (zero over an empty interval).
+fn mbps(bytes: u64, elapsed: SimTime) -> f64 {
+    if elapsed.is_zero() {
+        0.0
+    } else {
+        bytes as f64 / 1e6 / elapsed.as_secs_f64()
     }
 }
 
@@ -852,13 +887,24 @@ mod tests {
     }
 
     /// Every experiment passes the reference series a sequential-write
-    /// workload, so nothing else runs their read branches. Pin both on
-    /// sequential and random reads on an aged platform, under the default
-    /// fixed BCH code and under adaptive BCH, whose decode latency follows
-    /// the dies' P/E counts.
+    /// workload, so nothing else runs their read branches or their WAF
+    /// charge, which only a random write reaches. Pin both series on every
+    /// basic pattern on an aged platform, under the default fixed BCH code
+    /// and under adaptive BCH, whose encode and decode latencies follow the
+    /// dies' P/E counts.
     #[test]
-    fn reference_series_read_branches_are_pinned() {
+    fn reference_series_are_pinned() {
         let cases = [
+            (
+                EccScheme::fixed_bch(40),
+                AccessPattern::SequentialWrite,
+                16.752074798133602,
+            ),
+            (
+                EccScheme::fixed_bch(40),
+                AccessPattern::RandomWrite,
+                2.2181671731447237,
+            ),
             (
                 EccScheme::fixed_bch(40),
                 AccessPattern::SequentialRead,
@@ -868,6 +914,16 @@ mod tests {
                 EccScheme::fixed_bch(40),
                 AccessPattern::RandomRead,
                 29.904339267681276,
+            ),
+            (
+                EccScheme::adaptive_bch(40),
+                AccessPattern::SequentialWrite,
+                16.752171146042254,
+            ),
+            (
+                EccScheme::adaptive_bch(40),
+                AccessPattern::RandomWrite,
+                2.2181688623851485,
             ),
             (
                 EccScheme::adaptive_bch(40),
@@ -881,7 +937,7 @@ mod tests {
             ),
         ];
         for (ecc, pattern, flash) in cases {
-            let mut ssd = Ssd::new(small_config("ref-read").ecc(ecc.clone()).build().unwrap());
+            let mut ssd = Ssd::new(small_config("ref").ecc(ecc.clone()).build().unwrap());
             ssd.age_to_normalized(0.5);
             let w = small_workload(pattern, 256);
             assert_eq!(
@@ -890,6 +946,42 @@ mod tests {
                 "{pattern:?}"
             );
             assert_eq!(ssd.flash_path_mbps(&w), flash, "{ecc:?} {pattern:?}");
+        }
+    }
+
+    mod waf_charge {
+        use super::super::waf_pages;
+        use proptest::prelude::*;
+
+        /// The page-at-a-time charge `waf_pages` replaced.
+        fn page_loop(carry: &mut f64, host_pages: u32, waf: f64) -> u32 {
+            *carry += host_pages as f64 * (waf - 1.0);
+            let mut phys_pages = host_pages;
+            while *carry >= 1.0 {
+                phys_pages += 1;
+                *carry -= 1.0;
+            }
+            phys_pages
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn closed_form_waf_charge_matches_the_page_loop(
+                start in 0.0f64..1.0,
+                waf in prop_oneof![Just(1.0), 1.0f64..51.0, Just(51.0)],
+                writes in prop::collection::vec(1u32..=64, 1..32),
+            ) {
+                let (mut carry, mut oracle) = (start, start);
+                for pages in writes {
+                    prop_assert_eq!(
+                        waf_pages(&mut carry, pages, waf),
+                        page_loop(&mut oracle, pages, waf)
+                    );
+                    prop_assert_eq!(carry.to_bits(), oracle.to_bits());
+                }
+            }
         }
     }
 
@@ -982,7 +1074,6 @@ mod tests {
             ftl_lookup_cycles: 20_000,
             dma_setup_cycles: 20_000,
             completion_cycles: 20_000,
-            gc_cycles: 0,
             bus_accesses_per_task: 8,
         };
         let w = small_workload(AccessPattern::SequentialWrite, 512);

@@ -12,11 +12,11 @@
 //! # Example
 //!
 //! ```
-//! use ssdx_cpu::{CpuModel, FirmwareProfile, FirmwareTask};
+//! use ssdx_cpu::{CpuModel, FirmwareProfile};
 //! use ssdx_sim::SimTime;
 //!
 //! let mut cpu = CpuModel::new(FirmwareProfile::waf_abstracted());
-//! let done = cpu.execute(SimTime::ZERO, FirmwareTask::CommandDecode);
+//! let done = cpu.execute_command_overhead(SimTime::ZERO);
 //! assert!(done.end > SimTime::ZERO);
 //! ```
 
@@ -25,5 +25,5 @@
 pub mod firmware;
 pub mod model;
 
-pub use firmware::{FirmwareProfile, FirmwareTask};
+pub use firmware::FirmwareProfile;
 pub use model::{CpuModel, CpuStats};

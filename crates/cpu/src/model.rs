@@ -1,6 +1,6 @@
 //! The CPU execution model.
 
-use crate::firmware::{FirmwareProfile, FirmwareTask};
+use crate::firmware::FirmwareProfile;
 use ssdx_sim::codec::{DecodeError, Decoder, Encoder};
 use ssdx_sim::{Frequency, Grant, Resource, SimTime};
 
@@ -29,10 +29,10 @@ pub struct CpuModel {
     clock: Frequency,
     core: Resource,
     stats: CpuStats,
-    /// Per-task `(cycles, duration)` cache in [`FirmwareTask::foreground`]
-    /// order, derived once at construction. Cycle-count-to-time conversion
-    /// costs a 128-bit division, and the foreground sequence runs four of
-    /// them per host command on the hot path.
+    /// Per-task `(cycles, duration)` of the foreground tasks in pipeline
+    /// order (decode, FTL lookup, DMA setup, completion), derived once at
+    /// construction. Cycle-count-to-time conversion costs a 128-bit
+    /// division, and every host command runs all four.
     foreground: [(u64, SimTime); 4],
 }
 
@@ -40,15 +40,14 @@ impl CpuModel {
     /// Creates a CPU with the paper's 200 MHz clock and the given firmware
     /// profile.
     pub fn new(profile: FirmwareProfile) -> Self {
-        Self::with_clock(profile, Frequency::from_mhz(200))
-    }
-
-    /// Creates a CPU with an explicit core clock.
-    pub fn with_clock(profile: FirmwareProfile, clock: Frequency) -> Self {
-        let foreground = FirmwareTask::foreground().map(|task| {
-            let cycles = profile.cycles_for(task);
-            (cycles, clock.cycles_to_time(cycles))
-        });
+        let clock = Frequency::from_mhz(200);
+        let foreground = [
+            profile.command_decode_cycles,
+            profile.ftl_lookup_cycles,
+            profile.dma_setup_cycles,
+            profile.completion_cycles,
+        ]
+        .map(|cycles| (cycles, clock.cycles_to_time(cycles)));
         CpuModel {
             profile,
             clock,
@@ -56,11 +55,6 @@ impl CpuModel {
             stats: CpuStats::default(),
             foreground,
         }
-    }
-
-    /// Firmware profile in use.
-    pub fn profile(&self) -> &FirmwareProfile {
-        &self.profile
     }
 
     /// Core clock.
@@ -78,24 +72,9 @@ impl CpuModel {
         self.core.free_at()
     }
 
-    /// Executes one firmware task starting no earlier than `at`, returning
-    /// the service window on the core.
-    pub fn execute(&mut self, at: SimTime, task: FirmwareTask) -> Grant {
-        let cycles = self.profile.cycles_for(task);
-        let duration = self.clock.cycles_to_time(cycles);
-        let grant = self.core.reserve(at, duration);
-        self.stats.tasks += 1;
-        self.stats.cycles += cycles;
-        self.stats.busy += duration;
-        grant
-    }
-
-    /// Executes the whole foreground task sequence for one command,
-    /// returning the grant covering the full sequence.
-    ///
-    /// Uses the per-task durations cached at construction; the reservations
-    /// and statistics are the same as issuing the four
-    /// [`execute`](Self::execute) calls one by one.
+    /// Executes the foreground task sequence of one command, each task
+    /// reserved on the core as soon as the previous one ends, starting no
+    /// earlier than `at`. Returns the grant covering the full sequence.
     pub fn execute_command_overhead(&mut self, at: SimTime) -> Grant {
         let mut first: Option<Grant> = None;
         let mut cursor = at;
@@ -166,17 +145,25 @@ mod tests {
 
     #[test]
     fn task_duration_matches_cycle_budget() {
-        let mut cpu = CpuModel::new(FirmwareProfile::waf_abstracted());
-        let g = cpu.execute(SimTime::ZERO, FirmwareTask::CommandDecode);
-        // 400 cycles at 5 ns = 2 µs.
+        // Only the decode task costs cycles: 400 cycles at 5 ns = 2 µs.
+        let decode_only = FirmwareProfile {
+            command_decode_cycles: 400,
+            ftl_lookup_cycles: 0,
+            dma_setup_cycles: 0,
+            completion_cycles: 0,
+            bus_accesses_per_task: 0,
+        };
+        let mut cpu = CpuModel::new(decode_only);
+        let g = cpu.execute_command_overhead(SimTime::ZERO);
         assert_eq!(g.end - g.start, SimTime::from_us(2));
+        assert_eq!(cpu.stats().cycles, 400);
     }
 
     #[test]
     fn tasks_serialise_on_the_core() {
         let mut cpu = CpuModel::new(FirmwareProfile::default());
-        let a = cpu.execute(SimTime::ZERO, FirmwareTask::CommandDecode);
-        let b = cpu.execute(SimTime::ZERO, FirmwareTask::FtlLookup);
+        let a = cpu.execute_command_overhead(SimTime::ZERO);
+        let b = cpu.execute_command_overhead(SimTime::ZERO);
         assert_eq!(b.start, a.end);
     }
 
@@ -190,21 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn custom_clock_scales_latency() {
-        let slow = CpuModel::with_clock(FirmwareProfile::default(), Frequency::from_mhz(100));
-        let fast = CpuModel::with_clock(FirmwareProfile::default(), Frequency::from_mhz(400));
-        let mut slow = slow;
-        let mut fast = fast;
-        let gs = slow.execute(SimTime::ZERO, FirmwareTask::DmaSetup);
-        let gf = fast.execute(SimTime::ZERO, FirmwareTask::DmaSetup);
-        assert_eq!((gs.end - gs.start).as_ps(), 4 * (gf.end - gf.start).as_ps());
-    }
-
-    #[test]
     fn stats_and_reset() {
         let mut cpu = CpuModel::new(FirmwareProfile::default());
-        cpu.execute(SimTime::ZERO, FirmwareTask::Completion);
-        assert_eq!(cpu.stats().tasks, 1);
+        cpu.execute_command_overhead(SimTime::ZERO);
+        assert_eq!(cpu.stats().tasks, 4);
         assert!(cpu.stats().cycles > 0);
         assert!(cpu.utilization(SimTime::from_ms(1)) > 0.0);
         cpu.reset();

@@ -261,8 +261,11 @@ fn buffer_and_core_counts_that_size_huge_allocations_are_refused_not_fatal() {
     // Each count sizes one `Vec` when the platform is built; an allocation
     // that large aborts the process, which no `catch_unwind` can stop. The
     // third overflows the session's aggregate buffer capacity in `u64`. The
-    // last four are values the WAF model and the adaptive ECC table would
-    // panic on: the parser refuses them before building either.
+    // next four are values the WAF model and the adaptive ECC table would
+    // panic on: the parser refuses them before building either. The last
+    // two are finite spare factors outside [0.01, 100]: 1e-300 amplifies
+    // each written page about 5·10^299 times, and 1e300 sizes a page-mapped
+    // FTL beyond any block count.
     let configs = [
         "dram_buffers = 4294967295\n",
         "cpu_cores = 4294967295\n",
@@ -271,6 +274,8 @@ fn buffer_and_core_counts_that_size_huge_allocations_are_refused_not_fatal() {
         "over_provisioning = 1e400\n",
         "ecc = adaptive-bch:3\n",
         "ecc = adaptive-bch:0\n",
+        "over_provisioning = 1e-300\n",
+        "ftl = page-mapped\nover_provisioning = 1e300\n",
     ];
     let spec = ssdx_server::WorkloadSpec::Basic {
         pattern: ssdx_hostif::AccessPattern::SequentialWrite,
